@@ -1,11 +1,10 @@
 // Package cas is a persistent, sharded, content-addressed record store:
 // the disk layer behind core.EvalCache. Records are keyed by a 32-byte
 // content hash and stored one file per record under a two-hex-digit
-// shard directory; every record carries a versioned header (magic,
-// version, length, checksum) following the report schema-versioning
-// discipline, so a torn or corrupted file — a crash mid-write, a bad
-// disk, a truncation — is detected, quarantined and reported as a miss,
-// never a wrong answer and never a crash.
+// shard directory; every record is a recfile frame (magic "QCAS",
+// version, length, checksum), so a torn or corrupted file — a crash
+// mid-write, a bad disk, a truncation — is detected, quarantined and
+// reported as a miss, never a wrong answer and never a crash.
 //
 // Concurrency is lock-striped per shard: readers and writers of
 // different shards never contend, and within a shard the per-record
@@ -21,16 +20,16 @@
 package cas
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/scaffold-go/multisimd/internal/recfile"
 )
 
 // Key is a 32-byte content address (a SHA-256 of whatever identifies
@@ -40,26 +39,10 @@ type Key [32]byte
 // String renders the key as the 64-hex-digit record file stem.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// Record format constants. The header is fixed-size, little-endian:
-//
-//	offset 0  magic   "QCAS" (4 bytes)
-//	offset 4  version uint32 (currently 1)
-//	offset 8  length  uint64 (payload bytes)
-//	offset 16 crc     uint32 (Castagnoli CRC-32 of the payload)
-//	offset 20 payload
-//
-// Version increments on any incompatible layout change; readers treat
-// unknown versions as misses (quarantined), so old and new binaries can
-// share a directory without crashing each other.
-const (
-	recordVersion = 1
-	headerSize    = 20
-)
-
-var (
-	recordMagic = [4]byte{'Q', 'C', 'A', 'S'}
-	crcTable    = crc32.MakeTable(crc32.Castagnoli)
-)
+// recordFormat frames every record file. Readers treat unknown versions
+// as misses (quarantined), so old and new binaries can share a
+// directory without crashing each other.
+var recordFormat = recfile.Format{Magic: [4]byte{'Q', 'C', 'A', 'S'}, Version: 1}
 
 // Options configures a Store. Only Dir is required.
 type Options struct {
@@ -176,7 +159,7 @@ func (s *Store) quarantineDir() string { return filepath.Join(s.opts.Dir, "quara
 // indexed by their hex-key names, leftover temp files are removed, and
 // anything unrecognized is ignored (validation stays lazy, at Get).
 func (st *stripe) load() error {
-	ents, err := os.ReadDir(st.dir)
+	ents, err := recfile.Sweep(st.dir)
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -184,12 +167,7 @@ func (st *stripe) load() error {
 		return fmt.Errorf("cas: %w", err)
 	}
 	for _, e := range ents {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(st.dir, name))
-			continue
-		}
-		k, ok := keyFromName(name)
+		k, ok := keyFromName(e.Name())
 		if !ok {
 			continue
 		}
@@ -251,10 +229,14 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 		st.misses++
 		return nil, false
 	}
-	payload, err := decodeRecord(data)
+	payload, err := recordFormat.Unframe(data)
 	if err != nil {
+		// Quarantine for post-mortem; a read-only seed stays untouched.
 		st.corrupt++
-		s.quarantineLocked(st, k, path)
+		if !s.opts.ReadOnly {
+			recfile.Quarantine(path, filepath.Join(s.quarantineDir(), k.String()+".bad"))
+		}
+		st.dropLocked(k)
 		st.misses++
 		return nil, false
 	}
@@ -282,21 +264,8 @@ func (s *Store) Put(k Key, payload []byte) {
 	if _, ok := st.index[k]; ok {
 		return
 	}
-	data := encodeRecord(payload)
-	tmp, err := os.CreateTemp(st.dir, "put-*.tmp")
-	if err != nil {
-		st.writeErrs++
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		st.writeErrs++
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(st, k)); err != nil {
-		os.Remove(tmp.Name())
+	data := recordFormat.Frame(payload)
+	if err := recfile.WriteAtomic(s.path(st, k), data); err != nil {
 		st.writeErrs++
 		return
 	}
@@ -325,18 +294,6 @@ func (st *stripe) dropLocked(k Key) {
 		st.bytes -= ent.size
 		delete(st.index, k)
 	}
-}
-
-// quarantineLocked moves a corrupt record aside (read-only stores skip
-// the move) and drops it from the index. Caller holds st.mu.
-func (s *Store) quarantineLocked(st *stripe, k Key, path string) {
-	if !s.opts.ReadOnly {
-		dst := filepath.Join(s.quarantineDir(), k.String()+".bad")
-		if err := os.Rename(path, dst); err != nil {
-			os.Remove(path)
-		}
-	}
-	st.dropLocked(k)
 }
 
 // Stats sums per-stripe counters; each stripe is read under its lock,
@@ -426,38 +383,4 @@ func (s *Store) compactLoop() {
 func (s *Store) Close() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	<-s.done
-}
-
-// encodeRecord frames a payload: header (magic, version, length, crc)
-// then the payload bytes.
-func encodeRecord(payload []byte) []byte {
-	data := make([]byte, headerSize+len(payload))
-	copy(data[0:4], recordMagic[:])
-	binary.LittleEndian.PutUint32(data[4:8], recordVersion)
-	binary.LittleEndian.PutUint64(data[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(data[16:20], crc32.Checksum(payload, crcTable))
-	copy(data[headerSize:], payload)
-	return data
-}
-
-// decodeRecord validates framing and returns the payload.
-func decodeRecord(data []byte) ([]byte, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("cas: record truncated at %d bytes", len(data))
-	}
-	if [4]byte(data[0:4]) != recordMagic {
-		return nil, fmt.Errorf("cas: bad magic %q", data[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != recordVersion {
-		return nil, fmt.Errorf("cas: record version %d, this build reads %d", v, recordVersion)
-	}
-	n := binary.LittleEndian.Uint64(data[8:16])
-	if uint64(len(data)-headerSize) != n {
-		return nil, fmt.Errorf("cas: payload length %d, header says %d", len(data)-headerSize, n)
-	}
-	payload := data[headerSize:]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(data[16:20]); got != want {
-		return nil, fmt.Errorf("cas: checksum %08x, header says %08x", got, want)
-	}
-	return payload, nil
 }

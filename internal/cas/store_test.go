@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/scaffold-go/multisimd/internal/recfile"
 )
 
 func testKey(b byte, s string) Key {
@@ -46,8 +48,8 @@ func TestRoundTrip(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Writes != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v; want 1 hit, 1 miss, 1 write, 1 entry", st)
 	}
-	if st.Bytes != int64(headerSize+len(payload)) {
-		t.Fatalf("Bytes = %d; want %d", st.Bytes, headerSize+len(payload))
+	if st.Bytes != int64(recfile.HeaderSize+len(payload)) {
+		t.Fatalf("Bytes = %d; want %d", st.Bytes, recfile.HeaderSize+len(payload))
 	}
 }
 
@@ -130,42 +132,12 @@ func corruptRecord(t *testing.T, s *Store, k Key, mutate func([]byte) []byte) st
 	return path
 }
 
-func TestTruncatedRecordIsMissAndQuarantined(t *testing.T) {
-	for _, cut := range []int{0, 3, headerSize - 1, headerSize + 2} {
-		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			dir := t.TempDir()
-			s := mustOpen(t, Options{Dir: dir})
-			k := testKey(1, "truncate")
-			s.Put(k, []byte("a payload that will be torn"))
-			path := corruptRecord(t, s, k, func(b []byte) []byte { return b[:cut] })
-
-			if _, ok := s.Get(k); ok {
-				t.Fatal("Get of truncated record returned ok")
-			}
-			if st := s.Stats(); st.Corrupt != 1 {
-				t.Fatalf("Corrupt = %d; want 1", st.Corrupt)
-			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatalf("corrupt record still in shard dir: err=%v", err)
-			}
-			q := filepath.Join(dir, "quarantine", k.String()+".bad")
-			if _, err := os.Stat(q); err != nil {
-				t.Fatalf("quarantined copy missing: %v", err)
-			}
-			// The miss is permanent, not a crash loop.
-			if _, ok := s.Get(k); ok {
-				t.Fatal("second Get after quarantine returned ok")
-			}
-		})
-	}
-}
-
 func TestBadChecksumIsMissAndQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir})
 	k := testKey(2, "checksum")
 	s.Put(k, []byte("bits that will rot"))
-	corruptRecord(t, s, k, func(b []byte) []byte {
+	path := corruptRecord(t, s, k, func(b []byte) []byte {
 		b[len(b)-1] ^= 0xff // flip a payload bit
 		return b
 	})
@@ -174,6 +146,17 @@ func TestBadChecksumIsMissAndQuarantined(t *testing.T) {
 	}
 	if st := s.Stats(); st.Corrupt != 1 || st.Entries != 0 {
 		t.Fatalf("stats = %+v; want 1 corrupt, 0 entries", st)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("corrupt record still in shard dir: err=%v", err)
+	}
+	q := filepath.Join(dir, "quarantine", k.String()+".bad")
+	if _, err := os.Stat(q); err != nil {
+		t.Fatalf("quarantined copy missing: %v", err)
+	}
+	// The miss is permanent, not a crash loop.
+	if _, ok := s.Get(k); ok {
+		t.Fatal("second Get after quarantine returned ok")
 	}
 }
 
@@ -184,7 +167,7 @@ func TestBadMagicAndVersionAreMisses(t *testing.T) {
 			return b
 		},
 		"version": func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[4:8], recordVersion+1)
+			binary.LittleEndian.PutUint32(b[4:8], recordFormat.Version+1)
 			return b
 		},
 		"length": func(b []byte) []byte {
@@ -301,7 +284,7 @@ func TestReadOnlyCorruptSkippedInPlace(t *testing.T) {
 	k := testKey(10, "ro-corrupt")
 	w.Put(k, []byte("seed"))
 	path := corruptRecord(t, w, k, func(b []byte) []byte {
-		b[headerSize] ^= 0xff
+		b[recfile.HeaderSize] ^= 0xff
 		return b
 	})
 	w.Close()
@@ -321,7 +304,7 @@ func TestReadOnlyCorruptSkippedInPlace(t *testing.T) {
 func TestCompactBoundsBytes(t *testing.T) {
 	s := mustOpen(t, Options{Dir: t.TempDir()})
 	payload := bytes.Repeat([]byte("x"), 100)
-	recSize := int64(headerSize + len(payload))
+	recSize := int64(recfile.HeaderSize + len(payload))
 	var keys []Key
 	for i := 0; i < 10; i++ {
 		k := testKey(byte(i), fmt.Sprintf("compact-%d", i))
@@ -366,7 +349,7 @@ func TestBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{
 		Dir:          dir,
-		MaxBytes:     int64(headerSize + 10),
+		MaxBytes:     int64(recfile.HeaderSize + 10),
 		CompactEvery: 5 * time.Millisecond,
 	})
 	for i := 0; i < 8; i++ {
@@ -374,7 +357,7 @@ func TestBackgroundCompaction(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if st := s.Stats(); st.Bytes <= int64(headerSize+10) {
+		if st := s.Stats(); st.Bytes <= int64(recfile.HeaderSize+10) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -1,3 +1,8 @@
+// Package machine holds the Multi-SIMD(k,d) architecture's physical
+// communication primitive (§2.3): the paper's Fig. 2 teleportation
+// circuit, which the communication pass charges as one 4-cycle global
+// move. Schedules and their move lists are replayed and checked by
+// internal/verify, the toolflow's one replay oracle.
 package machine
 
 import (

@@ -1,9 +1,9 @@
 package telem
 
-// Crash-safety: the store's on-disk contract mirrors internal/cas —
-// every way a segment can be damaged (truncation at any boundary, bad
-// magic, unknown version, flipped payload bit, leftover temp file) must
-// read back as a quarantined miss, never a wrong answer and never an
+// Crash-safety at the store level. The frame itself (truncation at
+// every boundary, bad magic, unknown version, length, checksum, temp
+// sweep) is tested once in internal/recfile; here a damaged segment must
+// read back as a quarantined gap, never a wrong answer and never an
 // error, and a simulated kill -9 (reopen without Close) must serve the
 // sealed history bit-identically.
 
@@ -15,6 +15,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/scaffold-go/multisimd/internal/recfile"
 )
 
 // fillStore seals n samples of series "c" (v = i at t = i*2s) into dir
@@ -80,42 +82,6 @@ func TestKillBeforeSealLosesOnlyBuffer(t *testing.T) {
 	}
 }
 
-func TestTruncationAtEveryBoundary(t *testing.T) {
-	dir := t.TempDir()
-	paths := fillStore(t, dir, 4)
-	if len(paths) != 1 {
-		t.Fatalf("want exactly 1 segment, got %d", len(paths))
-	}
-	data, err := os.ReadFile(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every header boundary plus a mid-payload cut.
-	for _, cut := range []int{0, 3, 4, 7, 8, 15, 16, 19, 20, len(data) - 1} {
-		if cut >= len(data) {
-			continue
-		}
-		sub := t.TempDir()
-		s := openTest(t, Options{Dir: sub, Retention: -1, SealSamples: 4})
-		s.Append(ms(0), map[string]float64{"c": 1})
-		s.Close()
-		segs := segmentPaths(t, sub)
-		if err := os.WriteFile(segs[0], data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s2 := openTest(t, Options{Dir: sub, Retention: -1})
-		if pts := s2.Query("c", ms(0), ms(10000), 0); len(pts) != 0 {
-			t.Fatalf("cut=%d: truncated segment served %+v", cut, pts)
-		}
-		if st := s2.Stats(); st.Corrupt != 1 {
-			t.Fatalf("cut=%d: corrupt = %d, want 1", cut, st.Corrupt)
-		}
-		if q := quarantined(t, sub); len(q) != 1 {
-			t.Fatalf("cut=%d: quarantine holds %v, want 1 file", cut, q)
-		}
-	}
-}
-
 func TestCorruptHeaderVariantsQuarantine(t *testing.T) {
 	corrupt := func(name string, mut func(data []byte)) {
 		t.Run(name, func(t *testing.T) {
@@ -145,12 +111,12 @@ func TestCorruptHeaderVariantsQuarantine(t *testing.T) {
 	}
 	corrupt("bad-magic", func(d []byte) { d[0] = 'X' })
 	corrupt("future-version", func(d []byte) {
-		binary.LittleEndian.PutUint32(d[4:8], segmentVersion+1)
+		binary.LittleEndian.PutUint32(d[4:8], segmentFormat.Version+1)
 	})
 	corrupt("bad-length", func(d []byte) {
 		binary.LittleEndian.PutUint64(d[8:16], uint64(len(d))) // claims more than present
 	})
-	corrupt("bad-checksum", func(d []byte) { d[headerSize] ^= 0x01 })
+	corrupt("bad-checksum", func(d []byte) { d[recfile.HeaderSize] ^= 0x01 })
 	corrupt("payload-bit-flip", func(d []byte) { d[len(d)-2] ^= 0x40 })
 }
 
@@ -198,5 +164,38 @@ func TestSeqResumesPastExistingSegments(t *testing.T) {
 	pts := s2.Query("c", ms(0), ms(200000), 0)
 	if len(pts) != 9 || pts[8].V != 99 {
 		t.Fatalf("query across generations = %+v", pts)
+	}
+}
+
+// TestCorruptSegmentDuringDownsampleLeavesIndex: a segment that fails
+// validation while the byte budget downsamples it is quarantined and
+// dropped from the index, so Stats matches the files on disk and later
+// queries do not count the same file as corrupt again.
+func TestCorruptSegmentDuringDownsampleLeavesIndex(t *testing.T) {
+	dir := t.TempDir()
+	paths := fillStore(t, dir, 16) // 4 sealed segments
+	full := openTest(t, Options{Dir: dir, Retention: -1}).Stats().Bytes
+	s := openTest(t, Options{Dir: dir, Retention: -1, SealSamples: 4, MaxBytes: full + full/8})
+	if st := s.Stats(); st.Segments != 4 || st.Downsampled != 0 {
+		t.Fatalf("setup stats = %+v, want 4 untouched segments", st)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-2] ^= 0x40 // flip a payload bit in the oldest segment
+	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(16); i < 20; i++ { // a fifth seal pushes past the budget
+		s.Append(ms(i*2000), map[string]float64{"c": float64(i)})
+	}
+	st := s.Stats()
+	if files := len(segmentPaths(t, dir)); st.Segments != files || st.Corrupt != 1 {
+		t.Fatalf("stats = %+v with %d segment files, want them equal and 1 corrupt", st, files)
+	}
+	s.Query("c", ms(0), ms(40000), 0)
+	if st := s.Stats(); st.Corrupt != 1 {
+		t.Fatalf("corrupt = %d after a query, want 1: the quarantined segment was counted again", st.Corrupt)
 	}
 }

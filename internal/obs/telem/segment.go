@@ -1,38 +1,23 @@
 package telem
 
-// Segment framing, following the internal/cas record discipline: a
-// fixed little-endian header (magic, version, payload length, CRC-32C
-// of the payload) ahead of a schema-versioned JSON payload. Version
-// increments on any incompatible layout change; readers treat unknown
-// versions as corrupt (quarantined), so old and new binaries can share
-// a directory without misreading each other.
-//
-//	offset 0  magic   "QTSG" (4 bytes)
-//	offset 4  version uint32 (currently 1)
-//	offset 8  length  uint64 (payload bytes)
-//	offset 16 crc     uint32 (Castagnoli CRC-32 of the payload)
-//	offset 20 payload (JSON segmentPayload)
+// Segments are recfile frames (magic "QTSG") around a schema-versioned
+// JSON payload. The frame version increments on any incompatible layout
+// change; readers treat unknown versions as corrupt (quarantined), so
+// old and new binaries can share a directory without misreading each
+// other.
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+
+	"github.com/scaffold-go/multisimd/internal/recfile"
 )
 
-const (
-	segmentVersion = 1
-	headerSize     = 20
+// SegmentSchemaVersion versions the JSON payload inside the frame,
+// independently of the frame itself.
+const SegmentSchemaVersion = 1
 
-	// SegmentSchemaVersion versions the JSON payload inside the frame,
-	// independently of the frame itself.
-	SegmentSchemaVersion = 1
-)
-
-var (
-	segmentMagic = [4]byte{'Q', 'T', 'S', 'G'}
-	crcTable     = crc32.MakeTable(crc32.Castagnoli)
-)
+var segmentFormat = recfile.Format{Magic: [4]byte{'Q', 'T', 'S', 'G'}, Version: 1}
 
 // Sample is one telemetry point in time: every series' value at TSMS
 // (unix milliseconds).
@@ -56,34 +41,15 @@ func encodeSegment(p segmentPayload) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := make([]byte, headerSize+len(body))
-	copy(data[0:4], segmentMagic[:])
-	binary.LittleEndian.PutUint32(data[4:8], segmentVersion)
-	binary.LittleEndian.PutUint64(data[8:16], uint64(len(body)))
-	binary.LittleEndian.PutUint32(data[16:20], crc32.Checksum(body, crcTable))
-	copy(data[headerSize:], body)
-	return data, nil
+	return segmentFormat.Frame(body), nil
 }
 
 // decodeSegment validates framing and payload schema.
 func decodeSegment(data []byte) (segmentPayload, error) {
 	var p segmentPayload
-	if len(data) < headerSize {
-		return p, fmt.Errorf("telem: segment truncated at %d bytes", len(data))
-	}
-	if [4]byte(data[0:4]) != segmentMagic {
-		return p, fmt.Errorf("telem: bad magic %q", data[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != segmentVersion {
-		return p, fmt.Errorf("telem: segment version %d, this build reads %d", v, segmentVersion)
-	}
-	n := binary.LittleEndian.Uint64(data[8:16])
-	if uint64(len(data)-headerSize) != n {
-		return p, fmt.Errorf("telem: payload length %d, header says %d", len(data)-headerSize, n)
-	}
-	body := data[headerSize:]
-	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(data[16:20]); got != want {
-		return p, fmt.Errorf("telem: checksum %08x, header says %08x", got, want)
+	body, err := segmentFormat.Unframe(data)
+	if err != nil {
+		return p, err
 	}
 	if err := json.Unmarshal(body, &p); err != nil {
 		return p, fmt.Errorf("telem: segment payload: %w", err)

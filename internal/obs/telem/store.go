@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/scaffold-go/multisimd/internal/recfile"
 )
 
 // maxDownsampleLevel bounds how coarse a budget-squeezed segment can
@@ -76,26 +78,20 @@ func Open(opts Options) (*Store, error) {
 			return nil, fmt.Errorf("telem: %w", err)
 		}
 	}
-	ents, err := os.ReadDir(s.segmentsDir())
+	ents, err := recfile.Sweep(s.segmentsDir())
 	if err != nil {
 		return nil, fmt.Errorf("telem: %w", err)
 	}
 	for _, e := range ents {
-		name := e.Name()
-		path := filepath.Join(s.segmentsDir(), name)
-		if strings.HasSuffix(name, ".tmp") {
-			os.Remove(path)
-			continue
-		}
-		m, ok := parseSegmentName(name)
+		m, ok := parseSegmentName(e.Name())
 		if !ok {
 			continue
 		}
-		m.path = path
-		p, size, err := readSegmentFile(path)
+		m.path = filepath.Join(s.segmentsDir(), e.Name())
+		p, size, err := readSegmentFile(m.path)
 		if err != nil {
 			s.corrupt++
-			s.quarantine(path)
+			s.quarantine(m.path)
 			continue
 		}
 		m.size = size
@@ -178,13 +174,17 @@ func readSegmentFile(path string) (segmentPayload, int64, error) {
 	return p, int64(len(data)), err
 }
 
-// quarantine moves a failed segment aside for postmortem; if the move
-// fails the file is removed so it cannot fail validation again.
+// quarantine moves a failed segment aside for postmortem.
 func (s *Store) quarantine(path string) {
-	dst := filepath.Join(s.quarantineDir(), filepath.Base(path)+".bad")
-	if err := os.Rename(path, dst); err != nil {
-		os.Remove(path)
-	}
+	recfile.Quarantine(path, filepath.Join(s.quarantineDir(), filepath.Base(path)+".bad"))
+}
+
+// dropCorruptLocked quarantines sealed segment i after it failed
+// validation and removes it from the index. Caller holds s.mu.
+func (s *Store) dropCorruptLocked(i int) {
+	s.corrupt++
+	s.quarantine(s.segs[i].path)
+	s.segs = append(s.segs[:i], s.segs[i+1:]...)
 }
 
 // Append buffers one sample (values must not be mutated by the caller
@@ -251,27 +251,13 @@ func (s *Store) sealLocked() {
 	s.maintainLocked()
 }
 
-// writeSegment writes one framed segment atomically (temp + rename).
+// writeSegment writes one framed segment atomically.
 func (s *Store) writeSegment(path string, p segmentPayload) (int64, error) {
 	data, err := encodeSegment(p)
 	if err != nil {
 		return 0, err
 	}
-	tmp, err := os.CreateTemp(s.segmentsDir(), "seal-*.tmp")
-	if err != nil {
-		return 0, err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return 0, werr
-		}
-		return 0, cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := recfile.WriteAtomic(path, data); err != nil {
 		return 0, err
 	}
 	return int64(len(data)), nil
@@ -281,7 +267,8 @@ func (s *Store) writeSegment(path string, p segmentPayload) (int64, error) {
 // segments are dropped; past MaxBytes the oldest segments are first
 // rewritten one downsampling level coarser (halving their resolution,
 // step-aligned) and, when every survivor is already at the coarsest
-// level, dropped oldest-first. Caller holds s.mu.
+// level, dropped oldest-first. A segment failing validation on the way
+// is quarantined and leaves the index. Caller holds s.mu.
 func (s *Store) maintainLocked() {
 	if ret := s.opts.retention(); ret > 0 {
 		cutoff := s.opts.now().Add(-ret).UnixMilli()
@@ -307,7 +294,14 @@ func (s *Store) maintainLocked() {
 		if s.segs[i].ds >= maxDownsampleLevel {
 			continue
 		}
-		total += s.downsampleLocked(&s.segs[i])
+		delta, err := s.downsampleLocked(&s.segs[i])
+		if err != nil {
+			total -= s.segs[i].size
+			s.dropCorruptLocked(i)
+			i--
+			continue
+		}
+		total += delta
 	}
 	for total > s.opts.MaxBytes && len(s.segs) > 0 {
 		os.Remove(s.segs[0].path)
@@ -319,22 +313,17 @@ func (s *Store) maintainLocked() {
 
 // downsampleLocked rewrites one segment a level coarser, keeping the
 // last sample in each epoch-aligned Step<<(ds+1) window, and returns
-// the byte delta. On any failure the segment is left as it was.
-func (s *Store) downsampleLocked(m *segMeta) int64 {
+// the byte delta. A segment failing validation returns the error for
+// the caller to drop; on a failed rewrite the segment is left as it was.
+func (s *Store) downsampleLocked(m *segMeta) (int64, error) {
 	p, _, err := readSegmentFile(m.path)
 	if err != nil {
-		s.corrupt++
-		s.quarantine(m.path)
-		// Treat as freed; the caller's running total must not count a
-		// quarantined segment against the budget.
-		delta := -m.size
-		m.size = 0
-		return delta
+		return 0, err
 	}
 	newDS := m.ds + 1
 	bucketMS := s.opts.step().Milliseconds() << newDS
 	if bucketMS <= 0 {
-		return 0
+		return 0, nil
 	}
 	kept := make([]Sample, 0, len(p.Samples)/2+1)
 	for _, sm := range p.Samples {
@@ -348,7 +337,7 @@ func (s *Store) downsampleLocked(m *segMeta) int64 {
 	newPath := filepath.Join(s.segmentsDir(), segmentName(m.fromMS, m.seq, newDS))
 	size, err := s.writeSegment(newPath, segmentPayload{Schema: SegmentSchemaVersion, DS: newDS, Samples: kept})
 	if err != nil {
-		return 0
+		return 0, nil
 	}
 	if newPath != m.path {
 		os.Remove(m.path)
@@ -359,7 +348,7 @@ func (s *Store) downsampleLocked(m *segMeta) int64 {
 		m.fromMS, m.toMS = kept[0].TSMS, kept[len(kept)-1].TSMS
 	}
 	s.downsampled++
-	return delta
+	return delta, nil
 }
 
 // Query returns the points of one series inside [from, to], oldest
@@ -393,9 +382,7 @@ func (s *Store) Query(name string, from, to time.Time, step time.Duration) []Poi
 		}
 		p, _, err := readSegmentFile(m.path)
 		if err != nil {
-			s.corrupt++
-			s.quarantine(m.path)
-			s.segs = append(s.segs[:i], s.segs[i+1:]...)
+			s.dropCorruptLocked(i)
 			i--
 			continue
 		}

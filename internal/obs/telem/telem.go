@@ -3,11 +3,11 @@
 // snapshots, plus a flight recorder that turns the recent-request ring
 // into self-contained postmortem bundles.
 //
-// The store follows the internal/cas file discipline: every sealed
-// segment is a versioned, CRC-checksummed record written with a temp
-// file + atomic rename, and a segment failing validation — a crash
-// mid-write, a bad disk, a truncation — is quarantined and skipped,
-// never a wrong answer and never a crash. Samples buffer in memory and
+// The store shares internal/recfile's on-disk discipline with the cas
+// store: every sealed segment is a versioned, CRC-checksummed frame
+// written with a temp file + atomic rename, and a segment failing
+// validation — a crash mid-write, a bad disk, a truncation — is
+// quarantined and skipped, never a wrong answer and never a crash. Samples buffer in memory and
 // seal every Options.SealSamples appends (Close seals the tail), so a
 // kill -9 loses at most one unsealed buffer, and everything sealed
 // before it reads back bit-identically after reopen.

@@ -13,9 +13,11 @@
 //     respected and the summary counters match the boundary lists.
 //
 // The checks are deliberately written against the execution model
-// rather than against any scheduler's implementation, so they serve as
-// a differential oracle: schedule.Validate, the machine executor and
-// this package all fail independently if the toolflow drifts.
+// rather than against any scheduler's implementation, so this package
+// is the toolflow's one schedule replay oracle: it and schedule.Validate
+// fail independently if the schedulers or the comm pass drift. The
+// per-step overhead model is not replayed here; comm's own tests pin it
+// against a reference implementation.
 package verify
 
 import (

@@ -138,6 +138,9 @@ func TestKRegionBoundViolated(t *testing.T) {
 		{Regions: [][]int32{{0}, {1}}}, // two regions on a k=1 machine
 	}}
 	wantCheck(t, verify.Schedule(s, g), "k-regions")
+	// A machine without regions is rejected before any step is read.
+	s.K = 0
+	wantCheck(t, verify.Schedule(s, g), "machine-shape")
 }
 
 func TestDCapacityViolated(t *testing.T) {
@@ -265,6 +268,24 @@ func TestScratchpadCapacityViolationDetected(t *testing.T) {
 		t.Fatal("expected a scratchpad round trip")
 	}
 	wantCheck(t, verify.Moves(s, res, comm.Options{LocalCapacity: 0}), "local-capacity")
+
+	// Two qubits parked at once under capacity 2 overflow a 1-qubit
+	// scratchpad.
+	m = ir.NewModule("park2", nil, []ir.Reg{{Name: "q", Size: 3}})
+	m.Gate(qasm.CNOT, 0, 1)
+	m.Gate(qasm.T, 2)
+	m.Gate(qasm.CNOT, 0, 1)
+	if g, err = dag.Build(m); err != nil {
+		t.Fatal(err)
+	}
+	s = &schedule.Schedule{M: m, K: 1, Steps: s.Steps}
+	if res, err = comm.Analyze(s, comm.Options{LocalCapacity: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := verify.Full(s, g, res, comm.Options{LocalCapacity: 2}); err != nil {
+		t.Fatalf("legal parking rejected: %v", err)
+	}
+	wantCheck(t, verify.Moves(s, res, comm.Options{LocalCapacity: 1}), "local-capacity")
 }
 
 // recountPeak recomputes PeakEPRBandwidth after a test doctors the
