@@ -36,12 +36,12 @@ const benchFTh = 2000
 
 var (
 	workloadOnce     sync.Once
-	workloadFlat     []core.Workload
-	workloadUnflat   []core.Workload
+	workloadFlat     []bench.Workload
+	workloadUnflat   []bench.Workload
 	workloadBuildErr error
 )
 
-func workloads(b *testing.B) (flat, unflat []core.Workload) {
+func workloads(b *testing.B) (flat, unflat []bench.Workload) {
 	workloadOnce.Do(func() {
 		for _, w := range bench.AllSmall() {
 			opts := w.Pipeline
@@ -51,14 +51,14 @@ func workloads(b *testing.B) (flat, unflat []core.Workload) {
 				workloadBuildErr = fmt.Errorf("%s: %w", w.Name, err)
 				return
 			}
-			workloadFlat = append(workloadFlat, core.Workload{Name: w.Name, Params: w.Params, Prog: p})
+			workloadFlat = append(workloadFlat, bench.Workload{Name: w.Name, Params: w.Params, Prog: p})
 			opts.SkipFlatten = true
 			u, err := core.Build(w.Source, opts)
 			if err != nil {
 				workloadBuildErr = fmt.Errorf("%s: %w", w.Name, err)
 				return
 			}
-			workloadUnflat = append(workloadUnflat, core.Workload{Name: w.Name, Params: w.Params, Prog: u})
+			workloadUnflat = append(workloadUnflat, bench.Workload{Name: w.Name, Params: w.Params, Prog: u})
 		}
 	})
 	if workloadBuildErr != nil {
@@ -73,10 +73,10 @@ func metricName(parts ...string) string { return strings.Join(parts, "_") }
 // per gate-count bucket and the fraction flattenable at FTh.
 func BenchmarkFig5Histogram(b *testing.B) {
 	_, unflat := workloads(b)
-	var rows []core.Fig5Row
+	var rows []bench.Fig5Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = core.Fig5(unflat, benchFTh)
+		rows, err = bench.Fig5(unflat, benchFTh)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,26 +86,43 @@ func BenchmarkFig5Histogram(b *testing.B) {
 	}
 }
 
+// runSweep runs vs over ws b.N times and returns the last results.
+func runSweep(b *testing.B, ws []bench.Workload, vs []bench.Variant) [][]*core.Metrics {
+	var res [][]*core.Metrics
+	var err error
+	for i := 0; i < b.N; i++ {
+		res, err = bench.Sweep(ws, vs)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return res
+}
+
+// reportSweep attaches metric of every evaluation, named after its
+// workload (when prefix is set) and variant label.
+func reportSweep(b *testing.B, ws []bench.Workload, vs []bench.Variant, res [][]*core.Metrics,
+	prefix bool, metric func(*core.Metrics) float64) {
+	for i, w := range ws {
+		for j, v := range vs {
+			name := metricName(sanitize(v.Label), "x")
+			if prefix {
+				name = metricName(w.Name, name)
+			}
+			b.ReportMetric(metric(res[i][j]), name)
+		}
+	}
+}
+
 // BenchmarkFig6Parallelism regenerates Fig. 6 for every benchmark.
 func BenchmarkFig6Parallelism(b *testing.B) {
 	flat, _ := workloads(b)
 	for _, w := range flat {
-		w := w
+		ws := []bench.Workload{w}
 		b.Run(w.Name, func(b *testing.B) {
-			var rows []core.Fig6Row
-			var err error
-			for i := 0; i < b.N; i++ {
-				rows, err = core.Fig6([]core.Workload{w})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			r := rows[0]
-			b.ReportMetric(r.RCP2, "rcp_k2_x")
-			b.ReportMetric(r.RCP4, "rcp_k4_x")
-			b.ReportMetric(r.LPFS2, "lpfs_k2_x")
-			b.ReportMetric(r.LPFS4, "lpfs_k4_x")
-			b.ReportMetric(r.CP, "cp_x")
+			res := runSweep(b, ws, bench.PaperVariants)
+			reportSweep(b, ws, bench.PaperVariants, res, false, (*core.Metrics).SpeedupVsSeq)
+			b.ReportMetric(res[0][3].CPSpeedup(), "cp_x")
 		})
 	}
 }
@@ -114,21 +131,10 @@ func BenchmarkFig6Parallelism(b *testing.B) {
 func BenchmarkFig7CommAware(b *testing.B) {
 	flat, _ := workloads(b)
 	for _, w := range flat {
-		w := w
+		ws := []bench.Workload{w}
 		b.Run(w.Name, func(b *testing.B) {
-			var rows []core.Fig7Row
-			var err error
-			for i := 0; i < b.N; i++ {
-				rows, err = core.Fig7([]core.Workload{w})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			r := rows[0]
-			b.ReportMetric(r.RCP2, "rcp_k2_x")
-			b.ReportMetric(r.RCP4, "rcp_k4_x")
-			b.ReportMetric(r.LPFS2, "lpfs_k2_x")
-			b.ReportMetric(r.LPFS4, "lpfs_k4_x")
+			res := runSweep(b, ws, bench.PaperVariants)
+			reportSweep(b, ws, bench.PaperVariants, res, false, (*core.Metrics).SpeedupVsNaive)
 		})
 	}
 }
@@ -138,22 +144,14 @@ func BenchmarkFig7CommAware(b *testing.B) {
 func BenchmarkFig8LocalMemory(b *testing.B) {
 	flat, _ := workloads(b)
 	for _, w := range flat {
-		w := w
+		ws := []bench.Workload{w}
 		b.Run(w.Name, func(b *testing.B) {
-			var rows []core.Fig8Row
-			var err error
-			for i := 0; i < b.N; i++ {
-				rows, err = core.Fig8([]core.Workload{w})
-				if err != nil {
-					b.Fatal(err)
-				}
+			q, err := bench.MinQubits(w.Prog)
+			if err != nil {
+				b.Fatal(err)
 			}
-			r := rows[0]
-			labels := []string{"none", "q4", "q2", "inf"}
-			for ci, lbl := range labels {
-				b.ReportMetric(r.RCP[ci], metricName("rcp", lbl, "x"))
-				b.ReportMetric(r.LPFS[ci], metricName("lpfs", lbl, "x"))
-			}
+			vs := bench.Fig8Variants(q)
+			reportSweep(b, ws, vs, runSweep(b, ws, vs), false, (*core.Metrics).SpeedupVsNaive)
 		})
 	}
 }
@@ -161,62 +159,50 @@ func BenchmarkFig8LocalMemory(b *testing.B) {
 // BenchmarkFig9ShorsK regenerates Fig. 9: Shor's speedup as k grows,
 // with unlimited local memory.
 func BenchmarkFig9ShorsK(b *testing.B) {
-	w, err := buildFig9Workload()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rows []core.Fig9Row
-	for i := 0; i < b.N; i++ {
-		rows, err = core.Fig9(w)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, metricName(r.Scheduler.Name(), fmt.Sprintf("k%d", r.K), "x"))
-	}
-}
-
-func buildFig9Workload() (core.Workload, error) {
 	sb := bench.ShorsSized(4, 16)
 	opts := sb.Pipeline
 	opts.FTh = benchFTh
 	p, err := core.Build(sb.Source, opts)
 	if err != nil {
-		return core.Workload{}, err
+		b.Fatal(err)
 	}
-	return core.Workload{Name: sb.Name, Params: sb.Params, Prog: p}, nil
+	ws := []bench.Workload{{Name: sb.Name, Params: sb.Params, Prog: p}}
+	vs := bench.Fig9Variants()
+	reportSweep(b, ws, vs, runSweep(b, ws, vs), false, (*core.Metrics).SpeedupVsNaive)
 }
 
 // BenchmarkTable1MinQubits regenerates Table 1: Q per benchmark.
 func BenchmarkTable1MinQubits(b *testing.B) {
 	_, unflat := workloads(b)
-	var rows []core.Table1Row
-	var err error
+	qs := make([]int64, len(unflat))
 	for i := 0; i < b.N; i++ {
-		rows, err = core.Table1(unflat)
-		if err != nil {
-			b.Fatal(err)
+		for j, w := range unflat {
+			q, err := bench.MinQubits(w.Prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			qs[j] = q
 		}
 	}
-	for _, r := range rows {
-		b.ReportMetric(float64(r.Q), metricName(r.Name, "Q"))
+	for j, w := range unflat {
+		b.ReportMetric(float64(qs[j]), metricName(w.Name, "Q"))
 	}
 }
 
 // BenchmarkTable2Rotations regenerates Table 2: n data-parallel
 // rotations serialize after decomposition unless k grows.
 func BenchmarkTable2Rotations(b *testing.B) {
-	var res *core.Table2Result
+	ks := []int{1, 2, 4, 8}
+	var steps []int64
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = core.Table2(8, []int{1, 2, 4, 8})
+		steps, err = bench.Table2(8, ks)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, k := range res.SortedKs() {
-		b.ReportMetric(float64(res.StepsAtK[k]), fmt.Sprintf("steps_k%d", k))
+	for i, k := range ks {
+		b.ReportMetric(float64(steps[i]), fmt.Sprintf("steps_k%d", k))
 	}
 }
 
@@ -226,9 +212,9 @@ func BenchmarkTable2Rotations(b *testing.B) {
 // cache temperature. Cold runs leave Workload.Cache nil, the seed
 // behavior (each Evaluate dedupes internally but shares nothing); warm
 // runs pre-populate one shared cache before the timer starts.
-func engineSweep(b *testing.B, workers int, warm bool, sweep func([]core.Workload) error) {
+func engineSweep(b *testing.B, workers int, warm bool, sweep func([]bench.Workload) error) {
 	flat, _ := workloads(b)
-	ws := make([]core.Workload, len(flat))
+	ws := make([]bench.Workload, len(flat))
 	copy(ws, flat)
 	for j := range ws {
 		ws[j].Workers = workers
@@ -257,7 +243,7 @@ func engineSweep(b *testing.B, workers int, warm bool, sweep func([]core.Workloa
 // host measures only the pool's overhead — GOMAXPROCS is reported so
 // results read correctly either way); the cache win is core-independent.
 func BenchmarkEngineFig6(b *testing.B) {
-	sweep := func(ws []core.Workload) error { _, err := core.Fig6(ws); return err }
+	sweep := func(ws []bench.Workload) error { _, err := bench.Sweep(ws, bench.PaperVariants); return err }
 	b.Run("serial_cold", func(b *testing.B) { engineSweep(b, 1, false, sweep) })
 	b.Run("workers8_cold", func(b *testing.B) { engineSweep(b, 8, false, sweep) })
 	b.Run("workers8_warm", func(b *testing.B) { engineSweep(b, 8, true, sweep) })
@@ -267,7 +253,18 @@ func BenchmarkEngineFig6(b *testing.B) {
 // per benchmark sharing 2 schedule sets) serial vs 8-worker pool vs
 // warm-cache.
 func BenchmarkEngineFig8(b *testing.B) {
-	sweep := func(ws []core.Workload) error { _, err := core.Fig8(ws); return err }
+	sweep := func(ws []bench.Workload) error {
+		for _, w := range ws {
+			q, err := bench.MinQubits(w.Prog)
+			if err != nil {
+				return err
+			}
+			if _, err := bench.Sweep([]bench.Workload{w}, bench.Fig8Variants(q)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	b.Run("serial_cold", func(b *testing.B) { engineSweep(b, 1, false, sweep) })
 	b.Run("workers8_cold", func(b *testing.B) { engineSweep(b, 8, false, sweep) })
 	b.Run("workers8_warm", func(b *testing.B) { engineSweep(b, 8, true, sweep) })
@@ -381,103 +378,44 @@ func BenchmarkSimulator(b *testing.B) {
 // marginal changes.
 func BenchmarkSensD(b *testing.B) {
 	flat, _ := workloads(b)
-	var rows []core.SensDRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.SensD(flat, core.LPFS, 4, []int{2, 8, 32, 0})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		d := fmt.Sprintf("d%d", r.D)
-		if r.D == 0 {
-			d = "dinf"
-		}
-		b.ReportMetric(r.Speedup, metricName(r.Name, d, "x"))
-	}
+	vs := bench.DVariants(core.LPFS, []int{2, 8, 32, 0})
+	reportSweep(b, flat, vs, runSweep(b, flat, vs), true, (*core.Metrics).SpeedupVsNaive)
 }
 
 // BenchmarkSensEPR sweeps the EPR distribution bandwidth (§2.3).
 func BenchmarkSensEPR(b *testing.B) {
 	flat, _ := workloads(b)
-	var rows []core.SensEPRRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.SensEPR(flat, core.LPFS, 4, []int{1, 4, 0})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		bw := fmt.Sprintf("bw%d", r.Bandwidth)
-		if r.Bandwidth == 0 {
-			bw = "bwinf"
-		}
-		b.ReportMetric(r.Speedup, metricName(r.Name, bw, "x"))
-	}
+	vs := bench.EPRVariants(core.LPFS, []int{1, 4, 0})
+	reportSweep(b, flat, vs, runSweep(b, flat, vs), true, (*core.Metrics).SpeedupVsNaive)
 }
 
 // BenchmarkAblationLPFS compares LPFS option settings (§4.2).
 func BenchmarkAblationLPFS(b *testing.B) {
 	flat, _ := workloads(b)
-	var rows []core.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.AblationLPFS(flat, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, metricName(r.Name, sanitize(r.Variant), "x"))
-	}
+	reportSweep(b, flat, bench.LPFSAblation, runSweep(b, flat, bench.LPFSAblation), true, (*core.Metrics).SpeedupVsNaive)
 }
 
 // BenchmarkAblationRCP compares RCP weight settings (§4.1).
 func BenchmarkAblationRCP(b *testing.B) {
 	flat, _ := workloads(b)
-	var rows []core.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.AblationRCP(flat, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, metricName(r.Name, sanitize(r.Variant), "x"))
-	}
+	reportSweep(b, flat, bench.RCPAblation, runSweep(b, flat, bench.RCPAblation), true, (*core.Metrics).SpeedupVsNaive)
 }
 
 // BenchmarkAblationComm compares the masked (§2.3) and strict (§4.4)
 // movement accountings.
 func BenchmarkAblationComm(b *testing.B) {
 	flat, _ := workloads(b)
-	var rows []core.AblationRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = core.AblationComm(flat, core.LPFS, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, metricName(r.Name, sanitize(r.Variant), "x"))
-	}
+	vs := bench.CommAblation(core.LPFS)
+	reportSweep(b, flat, vs, runSweep(b, flat, vs), true, (*core.Metrics).SpeedupVsNaive)
 }
 
 // BenchmarkSweepFTh measures schedule quality across flattening
 // thresholds (§3.1.1).
 func BenchmarkSweepFTh(b *testing.B) {
-	var srcs []core.SourceWorkload
-	for _, w := range bench.AllSmall() {
-		srcs = append(srcs, core.SourceWorkload{Name: w.Name, Source: w.Source, Pipeline: w.Pipeline})
-	}
-	var rows []core.FThRow
+	var rows []bench.FThRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = core.SweepFTh(srcs, core.LPFS, 4, []int64{100, 2000, 50000})
+		rows, err = bench.SweepFTh(bench.AllSmall(), core.LPFS, 4, []int64{100, 2000, 50000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -487,11 +425,14 @@ func BenchmarkSweepFTh(b *testing.B) {
 	}
 }
 
+// sanitize turns a variant label into a metric-name fragment.
 func sanitize(s string) string {
 	return strings.Map(func(r rune) rune {
 		switch r {
 		case ' ', '(', ')', '+':
 			return '_'
+		case '=', '/':
+			return -1
 		}
 		return r
 	}, s)

@@ -102,98 +102,18 @@ func run(exp, scale string, fth int64, schedName string, workers int) error {
 	if fth != 0 {
 		smallFTh = fth
 	}
+	if group, ok := experimentGroups[exp]; ok {
+		for _, e := range group {
+			if err := run(e, scale, fth, schedName, workers); err != nil {
+				return err
+			}
+			fmt.Println()
+		}
+		return nil
+	}
 	switch exp {
-	case "all":
-		for _, e := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "table1", "table2"} {
-			if err := run(e, scale, fth, schedName, workers); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		return nil
-	case "extended":
-		for _, e := range []string{"sensd", "sensepr", "ablation", "fth", "numa"} {
-			if err := run(e, scale, fth, schedName, workers); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		return nil
-	case "sensd":
-		ws, err := workloads(smallFTh, true, workers)
-		if err != nil {
-			return err
-		}
-		rows, err := core.SensD(ws, sched, 4, []int{2, 4, 8, 16, 32, 0})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Sensitivity to d (§5.4): %s, k=4, unlimited local memory, speedup vs naive\n", sched.Name())
-		fmt.Printf("%-10s", "benchmark")
-		for _, d := range []string{"d=2", "d=4", "d=8", "d=16", "d=32", "d=inf"} {
-			fmt.Printf(" %8s", d)
-		}
-		fmt.Println()
-		for i := 0; i < len(rows); i += 6 {
-			fmt.Printf("%-10s", rows[i].Name)
-			for j := 0; j < 6; j++ {
-				fmt.Printf(" %8.2f", rows[i+j].Speedup)
-			}
-			fmt.Println()
-		}
-		return nil
-	case "sensepr":
-		ws, err := workloads(smallFTh, true, workers)
-		if err != nil {
-			return err
-		}
-		bws := []int{1, 2, 4, 8, 0}
-		rows, err := core.SensEPR(ws, sched, 4, bws)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Sensitivity to EPR distribution bandwidth (§2.3): %s, k=4, speedup vs naive\n", sched.Name())
-		fmt.Printf("%-10s", "benchmark")
-		for _, bw := range []string{"bw=1", "bw=2", "bw=4", "bw=8", "bw=inf"} {
-			fmt.Printf(" %8s", bw)
-		}
-		fmt.Println()
-		for i := 0; i < len(rows); i += len(bws) {
-			fmt.Printf("%-10s", rows[i].Name)
-			for j := 0; j < len(bws); j++ {
-				fmt.Printf(" %8.2f", rows[i+j].Speedup)
-			}
-			fmt.Println()
-		}
-		return nil
-	case "ablation":
-		ws, err := workloads(smallFTh, true, workers)
-		if err != nil {
-			return err
-		}
-		lp, err := core.AblationLPFS(ws, 4)
-		if err != nil {
-			return err
-		}
-		printAblation("LPFS option ablation (k=4, unlimited local memory, speedup vs naive)", lp, 5)
-		rc, err := core.AblationRCP(ws, 4)
-		if err != nil {
-			return err
-		}
-		printAblation("RCP weight ablation (k=4, unlimited local memory, speedup vs naive)", rc, 4)
-		cm, err := core.AblationComm(ws, sched, 4)
-		if err != nil {
-			return err
-		}
-		printAblation("Movement accounting ablation (LPFS, k=4, no local memory)", cm, 2)
-		return nil
 	case "fth":
-		var srcs []core.SourceWorkload
-		for _, b := range bench.AllSmall() {
-			srcs = append(srcs, core.SourceWorkload{Name: b.Name, Source: b.Source, Pipeline: b.Pipeline})
-		}
-		fths := []int64{100, 500, 2000, 50000}
-		rows, err := core.SweepFTh(srcs, sched, 4, fths)
+		rows, err := bench.SweepFTh(bench.AllSmall(), sched, 4, []int64{100, 500, 2000, 50000})
 		if err != nil {
 			return err
 		}
@@ -207,73 +127,23 @@ func run(exp, scale string, fth int64, schedName string, workers int) error {
 		return numaExperiment(smallFTh, sched, workers)
 	case "fig5":
 		return fig5(scale, fth)
-	case "fig6":
-		ws, err := workloads(smallFTh, true, workers)
-		if err != nil {
-			return err
-		}
-		rows, err := core.Fig6(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 6: speedup over sequential execution (zero-cost communication)")
-		fmt.Printf("%-10s %-16s %8s %8s %8s %8s %8s\n", "benchmark", "params", "rcp k=2", "rcp k=4", "lpfs k=2", "lpfs k=4", "cp")
-		for _, r := range rows {
-			fmt.Printf("%-10s %-16s %8.2f %8.2f %8.2f %8.2f %8.2f\n",
-				r.Name, r.Params, r.RCP2, r.RCP4, r.LPFS2, r.LPFS4, r.CP)
-		}
-		return nil
-	case "fig7":
-		ws, err := workloads(smallFTh, true, workers)
-		if err != nil {
-			return err
-		}
-		rows, err := core.Fig7(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 7: speedup over sequential naive-movement execution (communication-aware)")
-		fmt.Printf("%-10s %-16s %8s %8s %8s %8s\n", "benchmark", "params", "rcp k=2", "rcp k=4", "lpfs k=2", "lpfs k=4")
-		for _, r := range rows {
-			fmt.Printf("%-10s %-16s %8.2f %8.2f %8.2f %8.2f\n",
-				r.Name, r.Params, r.RCP2, r.RCP4, r.LPFS2, r.LPFS4)
-		}
-		return nil
-	case "fig8":
-		ws, err := workloads(smallFTh, true, workers)
-		if err != nil {
-			return err
-		}
-		rows, err := core.Fig8(ws)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Figure 8: speedup over naive movement with local memory, Multi-SIMD(4,inf)")
-		fmt.Printf("%-10s %-6s %-5s %8s %8s %8s %8s\n", "benchmark", "Q", "sched", "none", "Q/4", "Q/2", "inf")
-		for _, r := range rows {
-			fmt.Printf("%-10s %-6d %-5s %8.2f %8.2f %8.2f %8.2f\n",
-				r.Name, r.Q, "rcp", r.RCP[0], r.RCP[1], r.RCP[2], r.RCP[3])
-			fmt.Printf("%-10s %-6s %-5s %8.2f %8.2f %8.2f %8.2f\n",
-				"", "", "lpfs", r.LPFS[0], r.LPFS[1], r.LPFS[2], r.LPFS[3])
-		}
-		return nil
 	case "fig9":
 		// A dedicated Shor's instance with a wider exponent register:
 		// the k-sensitivity of §5.4 comes from the inverse QFT's many
 		// distinct-angle rotation blackboxes.
-		b := bench.ShorsSized(4, 16)
-		w, err := buildWorkload(b, smallFTh, true, workers)
+		w, err := buildWorkload(bench.ShorsSized(4, 16), smallFTh, true, workers)
 		if err != nil {
 			return err
 		}
-		rows, err := core.Fig9(w)
+		vs := bench.Fig9Variants()
+		res, err := bench.Sweep([]bench.Workload{w}, vs)
 		if err != nil {
 			return err
 		}
 		fmt.Println("Figure 9: Shor's speedup over naive movement vs k (with local memory)")
 		fmt.Printf("%-6s %-6s %8s\n", "sched", "k", "speedup")
-		for _, r := range rows {
-			fmt.Printf("%-6s %-6d %8.2f\n", r.Scheduler, r.K, r.Speedup)
+		for j, v := range vs {
+			fmt.Printf("%-6s %-6d %8.2f\n", v.Opts.Scheduler.Name(), v.Opts.K, res[0][j].SpeedupVsNaive())
 		}
 		return nil
 	case "table1":
@@ -281,30 +151,146 @@ func run(exp, scale string, fth int64, schedName string, workers int) error {
 		if err != nil {
 			return err
 		}
-		rows, err := core.Table1(ws)
-		if err != nil {
-			return err
-		}
 		fmt.Println("Table 1: minimum qubits Q (sequential execution, maximal ancilla reuse)")
 		fmt.Printf("%-10s %-16s %10s\n", "benchmark", "params", "Q")
-		for _, r := range rows {
-			fmt.Printf("%-10s %-16s %10d\n", r.Name, r.Params, r.Q)
+		for _, w := range ws {
+			q, err := bench.MinQubits(w.Prog)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%-10s %-16s %10d\n", w.Name, w.Params, q)
 		}
 		return nil
 	case "table2":
-		res, err := core.Table2(8, []int{1, 2, 4, 8})
+		const rotations = 8
+		ks := []int{1, 2, 4, 8}
+		steps, err := bench.Table2(rotations, ks)
 		if err != nil {
 			return err
 		}
 		fmt.Println("Table 2: parallel rotations serialize after decomposition unless k grows")
-		fmt.Printf("%d data-parallel Rz gates on distinct qubits:\n", res.Rotations)
+		fmt.Printf("%d data-parallel Rz gates on distinct qubits:\n", rotations)
 		fmt.Printf("%-6s %12s\n", "k", "steps")
-		for _, k := range res.SortedKs() {
-			fmt.Printf("%-6d %12d\n", k, res.StepsAtK[k])
+		for i, k := range ks {
+			fmt.Printf("%-6d %12d\n", k, steps[i])
 		}
 		return nil
+	case "fig6", "fig7", "fig8", "sensd", "sensepr", "ablation":
+		ws, err := workloads(smallFTh, true, workers)
+		if err != nil {
+			return err
+		}
+		return sweepExperiment(exp, ws, sched)
 	}
 	return fmt.Errorf("unknown experiment %q", exp)
+}
+
+// sweepExperiment prints one of the experiments that evaluate every
+// small workload under a table of variants.
+func sweepExperiment(exp string, ws []bench.Workload, sched core.Scheduler) error {
+	speedupVsNaive := (*core.Metrics).SpeedupVsNaive
+	switch exp {
+	case "fig6":
+		// The critical-path bound is read off the lpfs k=4 evaluation.
+		cp := column{"cp", func(row []*core.Metrics) float64 { return row[3].CPSpeedup() }}
+		return printSweep(ws, bench.PaperVariants, "Figure 6: speedup over sequential execution (zero-cost communication)",
+			true, 8, (*core.Metrics).SpeedupVsSeq, cp)
+	case "fig7":
+		return printSweep(ws, bench.PaperVariants, "Figure 7: speedup over sequential naive-movement execution (communication-aware)",
+			true, 8, speedupVsNaive)
+	case "fig8":
+		fmt.Println("Figure 8: speedup over naive movement with local memory, Multi-SIMD(4,inf)")
+		fmt.Printf("%-10s %-6s %-5s %8s %8s %8s %8s\n", "benchmark", "Q", "sched", "none", "Q/4", "Q/2", "inf")
+		for _, w := range ws {
+			q, err := bench.MinQubits(w.Prog)
+			if err != nil {
+				return err
+			}
+			res, err := bench.Sweep([]bench.Workload{w}, bench.Fig8Variants(q))
+			if err != nil {
+				return err
+			}
+			m := res[0]
+			fmt.Printf("%-10s %-6d %-5s %8.2f %8.2f %8.2f %8.2f\n", w.Name, q, "rcp",
+				m[0].SpeedupVsNaive(), m[1].SpeedupVsNaive(), m[2].SpeedupVsNaive(), m[3].SpeedupVsNaive())
+			fmt.Printf("%-10s %-6s %-5s %8.2f %8.2f %8.2f %8.2f\n", "", "", "lpfs",
+				m[4].SpeedupVsNaive(), m[5].SpeedupVsNaive(), m[6].SpeedupVsNaive(), m[7].SpeedupVsNaive())
+		}
+		return nil
+	case "sensd":
+		return printSweep(ws, bench.DVariants(sched, []int{2, 4, 8, 16, 32, 0}),
+			fmt.Sprintf("Sensitivity to d (§5.4): %s, k=4, unlimited local memory, speedup vs naive", sched.Name()),
+			false, 8, speedupVsNaive)
+	case "sensepr":
+		return printSweep(ws, bench.EPRVariants(sched, []int{1, 2, 4, 8, 0}),
+			fmt.Sprintf("Sensitivity to EPR distribution bandwidth (§2.3): %s, k=4, speedup vs naive", sched.Name()),
+			false, 8, speedupVsNaive)
+	case "ablation":
+		for _, a := range []struct {
+			title string
+			vs    []bench.Variant
+		}{
+			{"LPFS option ablation (k=4, unlimited local memory, speedup vs naive)", bench.LPFSAblation},
+			{"RCP weight ablation (k=4, unlimited local memory, speedup vs naive)", bench.RCPAblation},
+			{"Movement accounting ablation (LPFS, k=4, no local memory)", bench.CommAblation(sched)},
+		} {
+			if err := printSweep(ws, a.vs, a.title, false, 20, speedupVsNaive); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// experimentGroups are the experiments that run a list of others, each
+// followed by a blank line.
+var experimentGroups = map[string][]string{
+	"all":      {"fig5", "fig6", "fig7", "fig8", "fig9", "table1", "table2"},
+	"extended": {"sensd", "sensepr", "ablation", "fth", "numa"},
+}
+
+// column is one printed column of a sweep table: its header and the
+// value it reads from a workload's row of evaluations.
+type column struct {
+	label string
+	value func(row []*core.Metrics) float64
+}
+
+// printSweep evaluates every workload under every variant and prints a
+// table under title: one row per workload (with its params when
+// params is set), one width-wide column per variant holding metric of
+// that evaluation, then any extra columns.
+func printSweep(ws []bench.Workload, vs []bench.Variant, title string, params bool, width int,
+	metric func(*core.Metrics) float64, extra ...column) error {
+	res, err := bench.Sweep(ws, vs)
+	if err != nil {
+		return err
+	}
+	cols := make([]column, 0, len(vs)+len(extra))
+	for j, v := range vs {
+		cols = append(cols, column{v.Label, func(row []*core.Metrics) float64 { return metric(row[j]) }})
+	}
+	cols = append(cols, extra...)
+	fmt.Println(title)
+	fmt.Printf("%-10s", "benchmark")
+	if params {
+		fmt.Printf(" %-16s", "params")
+	}
+	for _, c := range cols {
+		fmt.Printf(" %*s", width, c.label)
+	}
+	fmt.Println()
+	for i, w := range ws {
+		fmt.Printf("%-10s", w.Name)
+		if params {
+			fmt.Printf(" %-16s", w.Params)
+		}
+		for _, c := range cols {
+			fmt.Printf(" %*.2f", width, c.value(res[i]))
+		}
+		fmt.Println()
+	}
+	return nil
 }
 
 // numaExperiment compares qubit-to-bank mapping policies on each
@@ -367,26 +353,6 @@ func numaExperiment(fth int64, sched core.Scheduler, workers int) error {
 	return nil
 }
 
-// printAblation renders variant rows grouped per benchmark.
-func printAblation(title string, rows []core.AblationRow, variants int) {
-	fmt.Println(title)
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Printf("%-10s", "benchmark")
-	for i := 0; i < variants; i++ {
-		fmt.Printf(" %20s", rows[i].Variant)
-	}
-	fmt.Println()
-	for i := 0; i < len(rows); i += variants {
-		fmt.Printf("%-10s", rows[i].Name)
-		for j := 0; j < variants; j++ {
-			fmt.Printf(" %20.2f", rows[i+j].Speedup)
-		}
-		fmt.Println()
-	}
-}
-
 func fig5(scale string, fth int64) error {
 	// Fig. 5 characterizes initial modularity, so skip flattening.
 	ws, err := scaleWorkloads(scale, 0, false)
@@ -401,7 +367,7 @@ func fig5(scale string, fth int64) error {
 			useFTh = 2000
 		}
 	}
-	rows, err := core.Fig5(ws, useFTh)
+	rows, err := bench.Fig5(ws, useFTh)
 	if err != nil {
 		return err
 	}
@@ -430,14 +396,14 @@ func fig5(scale string, fth int64) error {
 // all compiles each benchmark once and later figures reuse the leaf
 // characterizations of earlier ones (fig7 re-runs fig6's evaluations;
 // fig8 only re-runs comm.Analyze over fig6's schedules).
-var workloadMemo = map[string][]core.Workload{}
+var workloadMemo = map[string][]bench.Workload{}
 
-func workloads(fth int64, flatten bool, workers int) ([]core.Workload, error) {
+func workloads(fth int64, flatten bool, workers int) ([]bench.Workload, error) {
 	key := fmt.Sprintf("%d|%t|%d", fth, flatten, workers)
 	if ws, ok := workloadMemo[key]; ok {
 		return ws, nil
 	}
-	var ws []core.Workload
+	var ws []bench.Workload
 	for _, b := range bench.AllSmall() {
 		w, err := buildWorkload(b, fth, flatten, workers)
 		if err != nil {
@@ -449,12 +415,12 @@ func workloads(fth int64, flatten bool, workers int) ([]core.Workload, error) {
 	return ws, nil
 }
 
-func scaleWorkloads(scale string, fth int64, flatten bool) ([]core.Workload, error) {
+func scaleWorkloads(scale string, fth int64, flatten bool) ([]bench.Workload, error) {
 	set := bench.AllSmall()
 	if scale == "paper" {
 		set = bench.All()
 	}
-	var ws []core.Workload
+	var ws []bench.Workload
 	for _, b := range set {
 		w, err := buildWorkload(b, fth, flatten, 0)
 		if err != nil {
@@ -465,7 +431,7 @@ func scaleWorkloads(scale string, fth int64, flatten bool) ([]core.Workload, err
 	return ws, nil
 }
 
-func buildWorkload(b bench.Benchmark, fth int64, flatten bool, workers int) (core.Workload, error) {
+func buildWorkload(b bench.Benchmark, fth int64, flatten bool, workers int) (bench.Workload, error) {
 	opts := b.Pipeline
 	if fth != 0 {
 		opts.FTh = fth
@@ -473,9 +439,9 @@ func buildWorkload(b bench.Benchmark, fth int64, flatten bool, workers int) (cor
 	opts.SkipFlatten = !flatten
 	p, err := core.Build(b.Source, opts)
 	if err != nil {
-		return core.Workload{}, fmt.Errorf("%s: %w", b.Name, err)
+		return bench.Workload{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	return core.Workload{
+	return bench.Workload{
 		Name: b.Name, Params: b.Params, Prog: p,
 		Cache: core.NewEvalCache(), Workers: workers, Obs: observer,
 	}, nil

@@ -13,6 +13,10 @@
 // benchmark to a size whose leaves can be materialized and scheduled in
 // tests and benches while preserving the module structure (see DESIGN.md
 // substitutions).
+//
+// The package also holds the experiment drivers behind the paper's
+// tables and figures (experiments.go): Sweep evaluates workloads under
+// a table of variants, and each figure reads its metric off the result.
 package bench
 
 import (

@@ -240,11 +240,14 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 		st.misses++
 		return nil, false
 	}
-	// Touch for LRU-ish compaction ordering; best-effort.
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
-	ent.atime = now
-	st.index[k] = ent
+	// Touch for LRU-ish compaction ordering; best-effort. A read-only
+	// seed never compacts, so its files keep their mtimes.
+	if !s.opts.ReadOnly {
+		now := time.Now()
+		_ = os.Chtimes(path, now, now)
+		ent.atime = now
+		st.index[k] = ent
+	}
 	st.hits++
 	return payload, true
 }

@@ -276,6 +276,34 @@ func TestReadOnly(t *testing.T) {
 	}
 }
 
+// TestReadOnlyGetKeepsMtime: a read-only seed layer serves records
+// without writing to its files, so a hit must not touch the mtime the
+// LRU ordering of a writable store relies on.
+func TestReadOnlyGetKeepsMtime(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, Options{Dir: dir})
+	k := testKey(9, "ro-mtime")
+	w.Put(k, []byte("seed record"))
+	path := w.path(w.stripe(k), k)
+	w.Close()
+	past := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+
+	ro := mustOpen(t, Options{Dir: dir, ReadOnly: true})
+	if _, ok := ro.Get(k); !ok {
+		t.Fatal("read-only Get missed the seed record")
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.ModTime().Equal(past) {
+		t.Fatalf("read-only Get rewrote the record mtime: %v; want %v", info.ModTime(), past)
+	}
+}
+
 // TestReadOnlyCorruptSkippedInPlace: a read-only store must not mutate
 // the seed directory even when it finds corruption.
 func TestReadOnlyCorruptSkippedInPlace(t *testing.T) {

@@ -105,29 +105,6 @@ func TestEvaluateLocalMemoryNeverHurts(t *testing.T) {
 	}
 }
 
-func TestTable2Shape(t *testing.T) {
-	res, err := core.Table2(6, []int{1, 2, 3, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ks := res.SortedKs()
-	if len(ks) != 4 {
-		t.Fatalf("ks: %v", ks)
-	}
-	// Steps must shrink monotonically with k and k=6 must beat k=1 by
-	// roughly the rotation count.
-	prev := int64(1 << 62)
-	for _, k := range ks {
-		if res.StepsAtK[k] > prev {
-			t.Errorf("k=%d regressed: %d > %d", k, res.StepsAtK[k], prev)
-		}
-		prev = res.StepsAtK[k]
-	}
-	if res.StepsAtK[1] < 3*res.StepsAtK[6] {
-		t.Errorf("serialization too weak: k=1 %d vs k=6 %d", res.StepsAtK[1], res.StepsAtK[6])
-	}
-}
-
 func TestEmitAndParseQASM(t *testing.T) {
 	p, err := core.Build(`
 module f(qbit x[2]) { CNOT(x[0], x[1]); }
@@ -195,44 +172,6 @@ func TestEmitQASMAncillaNames(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "anc0") || !strings.Contains(sb.String(), "anc1") {
 		t.Errorf("ancilla naming: %s", sb.String())
-	}
-}
-
-func TestExperimentDriversRunOnToy(t *testing.T) {
-	p, err := core.Build(toySource, core.PipelineOptions{FTh: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unflat, err := core.Build(toySource, core.PipelineOptions{SkipFlatten: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := []core.Workload{{Name: "toy", Params: "-", Prog: p}}
-	wsUnflat := []core.Workload{{Name: "toy", Params: "-", Prog: unflat}}
-	if rows, err := core.Fig5(wsUnflat, 1000); err != nil || len(rows) != 1 {
-		t.Errorf("fig5: %v", err)
-	}
-	if rows, err := core.Fig6(ws); err != nil || len(rows) != 1 {
-		t.Errorf("fig6: %v", err)
-	} else if rows[0].RCP4 <= 0 || rows[0].CP <= 0 {
-		t.Errorf("fig6 row: %+v", rows[0])
-	}
-	if rows, err := core.Fig7(ws); err != nil || len(rows) != 1 {
-		t.Errorf("fig7: %v", err)
-	}
-	if rows, err := core.Fig8(ws); err != nil || len(rows) != 1 {
-		t.Errorf("fig8: %v", err)
-	} else {
-		r := rows[0]
-		if r.LPFS[3] < r.LPFS[0] {
-			t.Errorf("fig8: infinite local memory hurt: %+v", r)
-		}
-	}
-	if rows, err := core.Fig9(core.Workload{Name: "toy", Prog: p}); err != nil || len(rows) == 0 {
-		t.Errorf("fig9: %v", err)
-	}
-	if rows, err := core.Table1(ws); err != nil || len(rows) != 1 || rows[0].Q <= 0 {
-		t.Errorf("table1: %v", err)
 	}
 }
 

@@ -2,8 +2,8 @@
 // end (parser, sema, lower), the mid-end passes (decompose, flatten) and
 // the back end (fine-grained RCP/LPFS scheduling, hierarchical coarse
 // scheduling, communication analysis) into the paper's complete
-// compile-and-evaluate flow, and exposes the experiment drivers behind
-// every table and figure (see experiments.go).
+// compile-and-evaluate flow. The experiment drivers behind every table
+// and figure live in internal/bench.
 package core
 
 import (
