@@ -3,15 +3,11 @@ package obs
 // Runtime sampler: a periodic snapshot of the Go runtime's health —
 // goroutine count, heap, GC activity — published as ordinary registry
 // gauges so they ride the existing /metrics scrape and the debug-state
-// snapshot for free. ReadMemStats stops the world briefly, so the
-// sampler runs on its own ticker rather than per scrape; readers see
-// values at most one interval stale.
+// snapshot for free. ReadMemStats stops the world briefly, so a caller
+// samples on its own ticker (qschedd's server sampler) rather than per
+// scrape; readers see values at most one interval stale.
 
-import (
-	"runtime"
-	"sync"
-	"time"
-)
+import "runtime"
 
 // Runtime gauge names published by SampleRuntime.
 const (
@@ -24,8 +20,8 @@ const (
 )
 
 // SampleRuntime takes one snapshot of the runtime into r's gauges. It
-// is what the periodic sampler calls each tick; tests and one-shot
-// tools can call it directly. A nil registry no-ops.
+// is what a periodic sampler calls each tick; tests and one-shot tools
+// can call it directly. A nil registry no-ops.
 func SampleRuntime(r *Registry) {
 	if r == nil {
 		return
@@ -40,29 +36,4 @@ func SampleRuntime(r *Registry) {
 	if ms.NumGC > 0 {
 		r.Gauge(GaugeGCPauseLast).Set(int64(ms.PauseNs[(ms.NumGC+255)%256]))
 	}
-}
-
-// StartRuntimeSampler samples the runtime into r immediately and then
-// every interval (minimum 100ms) until the returned stop function is
-// called. Stop is idempotent and safe to call from any goroutine.
-func StartRuntimeSampler(r *Registry, interval time.Duration) (stop func()) {
-	if interval < 100*time.Millisecond {
-		interval = 100 * time.Millisecond
-	}
-	SampleRuntime(r)
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				SampleRuntime(r)
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
 }

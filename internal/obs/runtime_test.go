@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestSampleRuntime(t *testing.T) {
 	r := NewRegistry()
@@ -18,15 +15,4 @@ func TestSampleRuntime(t *testing.T) {
 		t.Errorf("heap_sys = %d, want > 0", got)
 	}
 	SampleRuntime(nil) // must not panic
-}
-
-func TestStartRuntimeSampler(t *testing.T) {
-	r := NewRegistry()
-	stop := StartRuntimeSampler(r, time.Hour)
-	// The sampler samples once synchronously before its first tick.
-	if got := r.Gauge(GaugeGoroutines).Value(); got < 1 {
-		t.Errorf("goroutines after start = %d, want >= 1", got)
-	}
-	stop()
-	stop() // idempotent
 }

@@ -51,6 +51,8 @@ type segMeta struct {
 // Store is the embedded time-series store. Safe for concurrent use; a
 // nil *Store is the disabled store (Append, Query, Series and Close all
 // no-op without allocating), so telemetry-off paths cost one nil check.
+// A store without a Dir (NewMemory) keeps its whole history in the
+// unsealed buffer.
 type Store struct {
 	opts Options
 
@@ -121,10 +123,18 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
+// NewMemory returns a store that keeps the last retention of samples
+// in memory and writes nothing (0 = the 24h default). Query, Series and
+// Stats read it exactly as they read a persistent store's buffer.
+func NewMemory(retention time.Duration) *Store {
+	return &Store{opts: Options{Retention: retention, SealSamples: 1}, names: map[string]struct{}{}}
+}
+
 func (s *Store) segmentsDir() string   { return filepath.Join(s.opts.Dir, "segments") }
 func (s *Store) quarantineDir() string { return filepath.Join(s.opts.Dir, "quarantine") }
 
-// Dir returns the store root (postmortem bundles are written under it).
+// Dir returns the store root (postmortem bundles are written under
+// it); "" for a memory store.
 func (s *Store) Dir() string {
 	if s == nil {
 		return ""
@@ -227,6 +237,18 @@ func (s *Store) Close() {
 
 func (s *Store) sealLocked() {
 	if len(s.active) == 0 {
+		return
+	}
+	if s.opts.Dir == "" {
+		// A memory store seals by ageing its buffer out instead.
+		if ret := s.opts.retention(); ret > 0 {
+			cutoff := s.opts.now().Add(-ret).UnixMilli()
+			i := 0
+			for i < len(s.active) && s.active[i].TSMS < cutoff {
+				i++
+			}
+			s.active = s.active[i:]
+		}
 		return
 	}
 	payload := segmentPayload{Schema: SegmentSchemaVersion, Samples: s.active}

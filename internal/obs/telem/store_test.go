@@ -217,6 +217,38 @@ func TestFlattenSnapshot(t *testing.T) {
 	}
 }
 
+// TestMemoryStoreRetention: a memory store ages samples out of its
+// buffer at the retention window and never writes a segment.
+func TestMemoryStoreRetention(t *testing.T) {
+	s := NewMemory(10 * time.Second)
+	var now int64
+	s.opts.Now = func() time.Time { return ms(now) }
+	for now = 0; now <= 20000; now += 2000 {
+		s.Append(ms(now), map[string]float64{"c": float64(now / 2000), "g": 1})
+	}
+	now = 20000
+	pts := s.Query("c", ms(0), ms(now), 0)
+	want := []Point{{10000, 5}, {12000, 6}, {14000, 7}, {16000, 8}, {18000, 9}, {20000, 10}}
+	if !reflect.DeepEqual(pts, want) {
+		t.Fatalf("Query = %+v, want only the in-window %+v", pts, want)
+	}
+	stepped := []Point{{10000, 7}, {15000, 9}, {20000, 10}}
+	if got := s.Query("c", ms(0), ms(now), 5*time.Second); !reflect.DeepEqual(got, stepped) {
+		t.Fatalf("stepped Query = %+v, want %+v", got, stepped)
+	}
+	if got := s.Series(); !reflect.DeepEqual(got, []string{"c", "g"}) {
+		t.Fatalf("Series = %v", got)
+	}
+	s.Close()
+	st := s.Stats()
+	if st.Segments != 0 || st.Sealed != 0 || st.Bytes != 0 || st.BufferedSamples != len(want) {
+		t.Fatalf("Stats = %+v, want no segments and %d buffered", st, len(want))
+	}
+	if s.Dir() != "" || s.Retention() != 10*time.Second {
+		t.Fatalf("Dir = %q, Retention = %v", s.Dir(), s.Retention())
+	}
+}
+
 func TestOpenRequiresDir(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Fatal("Open with empty Dir succeeded")

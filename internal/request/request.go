@@ -28,6 +28,11 @@ const (
 	DefaultFTh       = 2000 // exploration-scale flattening threshold
 )
 
+// MaxK bounds k, 8x the paper's largest swept k of 128: the schedulers
+// and coarse composition allocate per region, so an unbounded k lets a
+// tiny request exhaust memory.
+const MaxK = 1024
+
 // Config is one compilation request. The zero value plus a Source (or
 // Bench) is valid after WithDefaults. JSON field names are the daemon's
 // v1 wire contract; the flag names RegisterFlags installs are qsched's.
@@ -120,8 +125,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("request: unknown scheduler %q (registered: %s)",
 			c.Scheduler, strings.Join(schedule.Names(), ", "))
 	}
-	if c.K < 1 {
-		return fmt.Errorf("request: k must be >= 1, got %d", c.K)
+	if c.K < 1 || c.K > MaxK {
+		return fmt.Errorf("request: k must be in [1, %d], got %d", MaxK, c.K)
 	}
 	if c.D < 0 {
 		return fmt.Errorf("request: d must be >= 0, got %d", c.D)

@@ -198,16 +198,6 @@ type RuntimeState struct {
 	GCPauseLastNS  int64 `json:"gc_pause_last_ns"`
 }
 
-// SlowRequest is one entry of the recent-slow ring: a request whose
-// wall time met the server's slow threshold.
-type SlowRequest struct {
-	ID       string  `json:"id"`
-	Endpoint string  `json:"endpoint"`
-	Status   int     `json:"status"`
-	DurMS    float64 `json:"dur_ms"`
-	Time     string  `json:"ts"`
-}
-
 // DebugStateResponse answers GET /v1/debug/state: a point-in-time
 // snapshot of what the server is doing right now — the live flight
 // table, admission state, cache totals, runtime health and recent slow
@@ -223,10 +213,13 @@ type DebugStateResponse struct {
 	QueueDepth  int64 `json:"queue_depth"`
 	QueueCap    int   `json:"queue_cap"`
 
-	Flights      []FlightState   `json:"flights"`
-	Cache        core.CacheStats `json:"cache"`
-	Runtime      RuntimeState    `json:"runtime"`
-	SlowRequests []SlowRequest   `json:"slow_requests"`
+	Flights []FlightState   `json:"flights"`
+	Cache   core.CacheStats `json:"cache"`
+	Runtime RuntimeState    `json:"runtime"`
+	// SlowRequests are the last 20 requests at or over the slow
+	// threshold, newest first; each carries only id, endpoint, status,
+	// ts and dur_ms.
+	SlowRequests []telem.RequestRecord `json:"slow_requests"`
 
 	// Telemetry is the persistent store's occupancy and maintenance
 	// counters; nil when the server runs without -telemetry-dir.

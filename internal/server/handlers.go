@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -523,6 +524,8 @@ func (s *Server) debugState() DebugStateResponse {
 		st := s.telem.Stats()
 		telemStats = &st
 	}
+	slow := s.slow.Recent()
+	slices.Reverse(slow)
 	return DebugStateResponse{
 		Schema:      DebugSchemaVersion,
 		Status:      status,
@@ -541,7 +544,7 @@ func (s *Server) debugState() DebugStateResponse {
 			GCPauseTotalNS: s.reg.Gauge(obs.GaugeGCPauseTotal).Value(),
 			GCPauseLastNS:  s.reg.Gauge(obs.GaugeGCPauseLast).Value(),
 		},
-		SlowRequests: s.slow.list(),
+		SlowRequests: slow,
 		Telemetry:    telemStats,
 	}
 }

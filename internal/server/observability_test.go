@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -403,6 +404,97 @@ func TestDebugStateAndDashboard(t *testing.T) {
 	for _, banned := range []string{"<script", "<link", "<img", "http://", "https://", "url(", "@import", "src="} {
 		if strings.Contains(html, banned) {
 			t.Errorf("dashboard contains banned token %q (must be self-contained)", banned)
+		}
+	}
+}
+
+// TestDashboardMemoryHistory: without a telemetry store the sparklines
+// read an in-memory history store spanning 150 sample periods.
+func TestDashboardMemoryHistory(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	if s.history == nil || s.history.Dir() != "" || s.telem != nil {
+		t.Fatalf("history store = %v (dir %q), telem = %v; want in-memory history only", s.history, s.history.Dir(), s.telem)
+	}
+	if _, data := get(t, ts.URL+"/v1/dashboard"); !strings.Contains(string(data), "requests/s (last 5m0s)") {
+		t.Errorf("default-cadence dashboard lacks the 5-minute rate title:\n%.600s", data)
+	}
+
+	// The sampler floors at 100ms, so this samples every 100ms over a
+	// 15s window.
+	_, ts = newTestServer(t, Options{SampleEvery: time.Millisecond})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, data := get(t, ts.URL+"/v1/dashboard")
+		html := string(data)
+		if strings.Contains(html, "<polyline") {
+			if !strings.Contains(html, "requests/s (last 15s)") {
+				t.Errorf("floored-cadence dashboard lacks the 15s rate title:\n%.600s", html)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("dashboard never drew a sparkline from the in-memory history")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestDebugStateSlowRequests pins the slow_requests contract of
+// /v1/debug/state: the last 20 slow requests, newest first, each with
+// exactly the five documented keys.
+func TestDebugStateSlowRequests(t *testing.T) {
+	s, ts := newTestServer(t, Options{SampleEvery: -1, SlowThreshold: time.Nanosecond})
+	const n = 25
+	for i := 0; i < n; i++ {
+		resp, data := postWithID(t, ts.URL+"/v1/compile", fmt.Sprintf("slow-%02d", i), compileBody(tinySource, "lpfs", 2))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("compile %d: %d %s", i, resp.StatusCode, data)
+		}
+	}
+	// The middleware records a request after its handler returns; wait
+	// in process (reading the state over HTTP would record more).
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if sr := s.debugState().SlowRequests; len(sr) > 0 && sr[0].ID == fmt.Sprintf("slow-%02d", n-1) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("last slow request never recorded")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	resp, data := get(t, ts.URL+"/v1/debug/state")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("debug/state status %d", resp.StatusCode)
+	}
+	var raw struct {
+		SlowRequests []map[string]json.RawMessage `json:"slow_requests"`
+	}
+	decodeInto(t, data, &raw)
+	if len(raw.SlowRequests) != 20 {
+		t.Fatalf("slow_requests has %d entries, want 20", len(raw.SlowRequests))
+	}
+	wantKeys := []string{"dur_ms", "endpoint", "id", "status", "ts"}
+	for i, e := range raw.SlowRequests {
+		var keys []string
+		for k := range e {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if strings.Join(keys, ",") != strings.Join(wantKeys, ",") {
+			t.Errorf("entry %d keys %v, want %v", i, keys, wantKeys)
+		}
+		var id, endpoint string
+		var status int
+		decodeInto(t, e["id"], &id)
+		decodeInto(t, e["endpoint"], &endpoint)
+		decodeInto(t, e["status"], &status)
+		if want := fmt.Sprintf("slow-%02d", n-1-i); id != want {
+			t.Errorf("entry %d id %q, want %q (newest first)", i, id, want)
+		}
+		if endpoint != "compile" || status != http.StatusOK {
+			t.Errorf("entry %d = %s %d, want compile 200", i, endpoint, status)
 		}
 	}
 }

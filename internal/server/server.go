@@ -44,12 +44,14 @@ type Options struct {
 	AccessLog *obs.AccessLog
 	// SlowThreshold marks requests whose wall time meets or exceeds it
 	// as slow: their access-log entries carry the per-phase span
-	// breakdown and they enter the dashboard's recent-slow ring.
+	// breakdown and they enter the recent-slow-requests recorder.
 	// Default: 1 second. Set negative to disable slow tracking.
 	SlowThreshold time.Duration
-	// SampleEvery is the period of the runtime sampler and the
-	// dashboard history ring. Default: 2 seconds. Set negative to
-	// disable sampling (no runtime gauges, empty dashboard sparklines).
+	// SampleEvery is the period of the sampler that reads the runtime
+	// gauges and appends a registry snapshot to the history store (the
+	// Telemetry store, else an in-memory one keeping 150 periods).
+	// Default: 2 seconds, floor 100ms. Set negative to disable sampling
+	// (no runtime gauges, no in-memory history).
 	SampleEvery time.Duration
 
 	// Telemetry is the persistent telemetry store (nil = telemetry off:
@@ -57,9 +59,6 @@ type Options struct {
 	// endpoints answer telemetry_disabled, and the request hot path pays
 	// nothing). The caller opens and closes it; the server only appends.
 	Telemetry *telem.Store
-	// FlightRecords bounds the flight recorder's recent-request ring
-	// (0 = telem.DefaultFlightRecords). Only meaningful with Telemetry.
-	FlightRecords int
 	// NoAutoSnapshot disables the automatic postmortem bundles written
 	// when a request ends slow, overloaded (429) or errored (5xx);
 	// POST /v1/debug/snapshot keeps working. The zero value — automatic
@@ -94,13 +93,16 @@ type Server struct {
 	wg       sync.WaitGroup // in-flight evaluation leaders
 	draining atomic.Bool
 
-	accessLog   *obs.AccessLog
-	stopSampler func()
-	history     *history
-	slow        *slowRing
-	drains      drainTracker
+	accessLog *obs.AccessLog
+	drains    drainTracker
+	// history is what the sampler appends to and the dashboard reads:
+	// the telemetry store, else an in-memory store while sampling is
+	// on. slow holds the recent slow requests.
+	history     *telem.Store
+	slow        *telem.FlightRecorder
+	samplerDone chan struct{} // closed when the sampler exits; nil if none
 
-	telem      *telem.Store
+	telem      *telem.Store // the persistent store, nil without telemetry
 	recorder   *telem.FlightRecorder
 	lastBundle atomic.Int64 // unix nanos of the last automatic bundle
 
@@ -138,6 +140,8 @@ func New(opts Options) *Server {
 	}
 	if opts.SampleEvery == 0 {
 		opts.SampleEvery = 2 * time.Second
+	} else if opts.SampleEvery > 0 && opts.SampleEvery < minSampleEvery {
+		opts.SampleEvery = minSampleEvery
 	}
 	if opts.BundleMinGap == 0 {
 		opts.BundleMinGap = 10 * time.Second
@@ -155,8 +159,8 @@ func New(opts Options) *Server {
 		stop:    stop,
 
 		accessLog: opts.AccessLog,
-		history:   newHistory(historySamples),
-		slow:      newSlowRing(slowRingSize),
+		history:   opts.Telemetry,
+		slow:      telem.NewFlightRecorder(maxSlowRequests),
 
 		inflightGauge: opts.Registry.Gauge("server.inflight"),
 		queuedGauge:   opts.Registry.Gauge("server.queued"),
@@ -168,11 +172,16 @@ func New(opts Options) *Server {
 	}
 	if opts.Telemetry != nil {
 		s.telem = opts.Telemetry
-		s.recorder = telem.NewFlightRecorder(opts.FlightRecords)
+		s.recorder = telem.NewFlightRecorder(telem.DefaultFlightRecords)
 	}
 	s.routes()
 	if opts.SampleEvery > 0 {
-		s.stopSampler = s.startSampler(opts.SampleEvery)
+		if s.history == nil {
+			s.history = telem.NewMemory(historySamples * opts.SampleEvery)
+		}
+		s.sample()
+		s.samplerDone = make(chan struct{})
+		go s.runSampler(opts.SampleEvery)
 	}
 	return s
 }
@@ -228,11 +237,12 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // Close cancels the context under every evaluation, aborting whatever
-// Drain did not see finish, and stops the runtime sampler.
+// Drain did not see finish, and returns once the sampler has exited, so
+// a caller can close the telemetry store after it. Close is idempotent.
 func (s *Server) Close() {
 	s.stop()
-	if s.stopSampler != nil {
-		s.stopSampler()
+	if s.samplerDone != nil {
+		<-s.samplerDone
 	}
 }
 
@@ -403,7 +413,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 
 		slow := s.opts.SlowThreshold > 0 && dur >= s.opts.SlowThreshold
 		if slow {
-			s.slow.add(SlowRequest{
+			s.slow.Record(telem.RequestRecord{
 				ID: id, Endpoint: name, Status: sw.code,
 				DurMS: float64(dur.Microseconds()) / 1000,
 				Time:  start.UTC().Format(accessTimeFormat),

@@ -159,6 +159,8 @@ func TestMalformedJSON(t *testing.T) {
 		{"trailing garbage", `{"source": "x"} extra`, CodeBadRequest},
 		{"fails validation", `{}`, CodeInvalid},
 		{"both source and bench", `{"source": "x", "bench": "Grovers"}`, CodeInvalid},
+		// Rejected before any work: schedulers allocate per region.
+		{"k over MaxK", `{"bench": "Grovers", "k": 100000}`, CodeInvalid},
 	}
 	for _, tc := range cases {
 		resp, data := post(t, ts.URL+"/v1/compile", tc.body)
@@ -177,7 +179,7 @@ func TestMalformedJSON(t *testing.T) {
 }
 
 func TestCompileEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{})
 	resp, data := post(t, ts.URL+"/v1/compile", compileBody(tinySource, "lpfs", 2))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
@@ -200,6 +202,9 @@ func TestCompileEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || e.Error.Code != CodeCompileFailed {
 		t.Errorf("broken program: status %d body %+v", resp.StatusCode, e)
 	}
+	// Close is idempotent: twice here, once more in the cleanup.
+	s.Close()
+	s.Close()
 }
 
 // TestCompileDedup is the acceptance gate: 50 concurrent identical
