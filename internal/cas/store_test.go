@@ -203,6 +203,11 @@ func TestTornTempCleanedAtOpen(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("half a record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Only temps past the sweep's grace period are a crash's leftovers.
+	crashed := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(tmp, crashed, crashed); err != nil {
+		t.Fatal(err)
+	}
 	s1.Close()
 
 	s2 := mustOpen(t, Options{Dir: dir})

@@ -233,6 +233,11 @@ func (a *Analyzer) Analyze(s *schedule.Schedule, opts Options) (*Result, error) 
 	if err := a.buildUses(s); err != nil {
 		return nil, err
 	}
+	// Each use charges at most one in-move, so the use count sizes the
+	// move arena; evictions can push past it, and the arena then grows.
+	if uses := len(a.uses); cap(a.moves) < uses {
+		a.moves = make([]Move, 0, uses)
+	}
 	a.buildActivity(s)
 	stride := nSteps + 1
 

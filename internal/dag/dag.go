@@ -30,6 +30,11 @@ type Graph struct {
 
 // Build constructs the graph. The module must be a materialized leaf:
 // gate ops only, Count <= 1.
+//
+// The adjacency lists are views into two flat arenas, cut with cap ==
+// len so an append to one list cannot overwrite the next; empty lists
+// are nil. An op has at most one predecessor per operand, so the
+// module's operand count sizes the predecessor arena.
 func Build(m *ir.Module) (*Graph, error) {
 	n := len(m.Ops)
 	g := &Graph{
@@ -39,10 +44,19 @@ func Build(m *ir.Module) (*Graph, error) {
 		Depth:  make([]int32, n),
 		Height: make([]int32, n),
 	}
+	operands := 0
+	for i := range m.Ops {
+		operands += len(m.Ops[i].Args)
+	}
+	predArena := make([]int32, operands)
+	// succOff[p+1] counts p's successors; prefix sums then turn it into
+	// offsets into the successor arena.
+	succOff := make([]int32, n+1)
 	last := make([]int32, m.TotalSlots())
 	for i := range last {
 		last[i] = -1
 	}
+	edges := 0
 	for i := 0; i < n; i++ {
 		op := &m.Ops[i]
 		if op.Kind != ir.GateOp {
@@ -52,12 +66,14 @@ func Build(m *ir.Module) (*Graph, error) {
 			return nil, fmt.Errorf("dag: module %s op %d has count %d; materialize first", m.Name, i, op.Count)
 		}
 		var depth int32
+		start := edges
 		for _, slot := range op.Args {
 			p := last[slot]
 			if p >= 0 {
-				if !contains(g.Preds[i], p) {
-					g.Preds[i] = append(g.Preds[i], p)
-					g.Succs[p] = append(g.Succs[p], int32(i))
+				if !contains(predArena[start:edges], p) {
+					predArena[edges] = p
+					edges++
+					succOff[p+1]++
 				}
 				if g.Depth[p] > depth {
 					depth = g.Depth[p]
@@ -65,9 +81,32 @@ func Build(m *ir.Module) (*Graph, error) {
 			}
 			last[slot] = int32(i)
 		}
+		if edges > start {
+			g.Preds[i] = predArena[start:edges:edges]
+		}
 		g.Depth[i] = depth + 1
 		if g.Depth[i] > g.cp {
 			g.cp = g.Depth[i]
+		}
+	}
+	// Successors in increasing op order, the order in which the edges
+	// were discovered. The fill advances succOff[p] from p's start to
+	// its end, which is p+1's start.
+	for i := 0; i < n; i++ {
+		succOff[i+1] += succOff[i]
+	}
+	succArena := make([]int32, edges)
+	for i := 0; i < n; i++ {
+		for _, p := range g.Preds[i] {
+			succArena[succOff[p]] = int32(i)
+			succOff[p]++
+		}
+	}
+	lo := int32(0)
+	for p := 0; p < n; p++ {
+		if hi := succOff[p]; lo < hi {
+			g.Succs[p] = succArena[lo:hi:hi]
+			lo = hi
 		}
 	}
 	// Heights in reverse order: successors always have larger indices
@@ -137,7 +176,8 @@ func (g *Graph) NextLongestPath(done []bool, candidates []int32) []int32 {
 	if best < 0 {
 		return nil
 	}
-	path := []int32{best}
+	path := make([]int32, 1, g.Height[best])
+	path[0] = best
 	cur := best
 	for {
 		next := int32(-1)

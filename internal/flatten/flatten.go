@@ -89,7 +89,19 @@ func inlineAll(p *ir.Program, m *ir.Module, fth int64) error {
 	if !hasCall {
 		return nil
 	}
-	out := make([]ir.Op, 0, len(m.Ops))
+	// Size the body once: a gate op stays one op and a call expands to
+	// its (already flat) callee's body per repetition. Past the growth
+	// guard's bound the guard below fails anyway, so reserve no more.
+	var size int64
+	for i := range m.Ops {
+		op := &m.Ops[i]
+		if op.Kind != ir.CallOp {
+			size++
+		} else if callee := p.Modules[op.Callee]; callee != nil {
+			size += int64(len(callee.Ops)) * op.EffCount()
+		}
+	}
+	out := make([]ir.Op, 0, min(size, 4*fth+1))
 	var err error
 	for i := range m.Ops {
 		op := &m.Ops[i]

@@ -14,6 +14,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"github.com/scaffold-go/multisimd/internal/qasm"
 )
@@ -78,7 +79,10 @@ type Module struct {
 
 	paramSlots int
 	totalSlots int
-	names      []string
+	// names is SlotName's lazily built table. It is published atomically
+	// because a materialized leaf is read by concurrent width tasks, any
+	// of which may name slots in a diagnostic; nil means not built yet.
+	names atomic.Pointer[[]string]
 }
 
 // NewModule constructs a module and computes its slot layout.
@@ -97,7 +101,7 @@ func (m *Module) relayout() {
 	for _, l := range m.Locals {
 		m.totalSlots += l.Size
 	}
-	m.names = nil
+	m.names.Store(nil)
 }
 
 // ParamSlots returns the number of slots occupied by parameters.
@@ -114,33 +118,39 @@ func (m *Module) AddLocal(name string, size int) Range {
 	m.Locals = append(m.Locals, Reg{Name: name, Size: size})
 	start := m.totalSlots
 	m.totalSlots += size
-	m.names = nil
+	m.names.Store(nil)
 	return Range{Start: start, Len: size}
 }
 
 // SlotName returns a human-readable name for a slot index, used by QASM
-// emission and diagnostics.
+// emission and diagnostics. It is safe for concurrent use on a module
+// that is not being modified.
 func (m *Module) SlotName(slot int) string {
-	if m.names == nil {
-		m.names = make([]string, 0, m.totalSlots)
+	names := m.names.Load()
+	if names == nil {
+		// Concurrent first calls may each build the table; the copies
+		// are identical, so whichever is published last wins harmlessly.
+		tab := make([]string, 0, m.totalSlots)
 		emit := func(regs []Reg) {
 			for _, r := range regs {
 				if r.Size == 1 {
-					m.names = append(m.names, r.Name)
+					tab = append(tab, r.Name)
 					continue
 				}
 				for i := 0; i < r.Size; i++ {
-					m.names = append(m.names, fmt.Sprintf("%s[%d]", r.Name, i))
+					tab = append(tab, fmt.Sprintf("%s[%d]", r.Name, i))
 				}
 			}
 		}
 		emit(m.Params)
 		emit(m.Locals)
+		names = &tab
+		m.names.Store(names)
 	}
-	if slot < 0 || slot >= len(m.names) {
+	if slot < 0 || slot >= len(*names) {
 		return fmt.Sprintf("slot%d", slot)
 	}
-	return m.names[slot]
+	return (*names)[slot]
 }
 
 // RegRange returns the slot range of the named register (parameter or

@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -114,6 +116,67 @@ func TestMaterialize(t *testing.T) {
 	}
 	if _, err := m.Materialize(3); err == nil {
 		t.Error("limit not enforced")
+	}
+}
+
+// TestMaterializeAliasesFlatModule: a body with nothing to unroll comes
+// back as the module itself, with no copy; a body with counts still gets
+// a distinct, unrolled module and leaves the original untouched.
+func TestMaterializeAliasesFlatModule(t *testing.T) {
+	flat := twoQubitLeaf("flat")
+	flat.Ops = append(flat.Ops, Op{Kind: GateOp, Gate: qasm.X, Args: []int{1}}) // Count 0 runs once
+	if mat, err := flat.Materialize(0); err != nil || mat != flat {
+		t.Fatalf("flat module: Materialize = %p, %v; want the receiver %p", mat, err, flat)
+	}
+
+	counted := twoQubitLeaf("counted")
+	counted.Ops[1].Count = 3
+	mat, err := counted.Materialize(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mat == counted {
+		t.Fatal("module with Count > 1 was not copied")
+	}
+	if len(mat.Ops) != 4 || len(counted.Ops) != 2 || counted.Ops[1].Count != 3 {
+		t.Fatalf("unrolled %d ops (original %d, count %d), want 4 (2, 3)", len(mat.Ops), len(counted.Ops), counted.Ops[1].Count)
+	}
+	for i, want := range []qasm.Opcode{qasm.H, qasm.CNOT, qasm.CNOT, qasm.CNOT} {
+		if op := mat.Ops[i]; op.Gate != want || op.Count != 1 {
+			t.Errorf("op %d: %v count %d, want %v count 1", i, op.Gate, op.Count, want)
+		}
+	}
+	if mat.TotalSlots() != counted.TotalSlots() || mat.SlotName(1) != "b" {
+		t.Errorf("copy lost the slot layout: %d slots, slot 1 %q", mat.TotalSlots(), mat.SlotName(1))
+	}
+}
+
+// TestSlotNameConcurrent: one materialized leaf is shared by concurrent
+// width tasks, any of which may name slots in a diagnostic. The lazy
+// name table must be safe to build from several goroutines at once (run
+// under -race).
+func TestSlotNameConcurrent(t *testing.T) {
+	m := NewModule("m", []Reg{{Name: "a", Size: 3}}, []Reg{{Name: "t", Size: 1}})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < 4; s++ {
+				want := fmt.Sprintf("a[%d]", s)
+				if s == 3 {
+					want = "t"
+				}
+				if got := m.SlotName(s); got != want {
+					t.Errorf("SlotName(%d) = %q, want %q", s, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	m.AddLocal("u", 2)
+	if got := m.SlotName(5); got != "u[1]" {
+		t.Errorf("after AddLocal, SlotName(5) = %q, want u[1]", got)
 	}
 }
 

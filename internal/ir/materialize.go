@@ -17,23 +17,34 @@ func (m *Module) MaterializedSize() int64 {
 	return n
 }
 
-// Materialize returns a copy of the module with every Count > 1 operation
+// Materialize returns the module with every Count > 1 operation
 // replicated into Count consecutive ops. limit bounds the resulting body
 // size; it returns an error wrapping ErrTooLarge when exceeded.
+//
+// The result is read-only and may alias m: when nothing needs unrolling
+// (the common case for flattened leaves) Materialize returns m itself.
+// Otherwise it returns a fresh module whose ops share their Args and
+// CallArgs storage with m's.
 func (m *Module) Materialize(limit int64) (*Module, error) {
 	need := m.MaterializedSize()
 	if limit > 0 && need > limit {
 		return nil, fmt.Errorf("%w: module %s needs %d ops, limit %d", ErrTooLarge, m.Name, need, limit)
 	}
-	out := m.Clone()
-	out.Ops = make([]Op, 0, need)
+	if need == int64(len(m.Ops)) {
+		return m, nil
+	}
+	out := &Module{
+		Name:       m.Name,
+		Params:     append([]Reg(nil), m.Params...),
+		Locals:     append([]Reg(nil), m.Locals...),
+		Ops:        make([]Op, 0, need),
+		paramSlots: m.paramSlots,
+		totalSlots: m.totalSlots,
+	}
 	for i := range m.Ops {
-		op := m.Ops[i]
-		n := op.EffCount()
-		unit := op
+		unit := m.Ops[i]
+		n := unit.EffCount()
 		unit.Count = 1
-		unit.Args = append([]int(nil), op.Args...)
-		unit.CallArgs = append([]Range(nil), op.CallArgs...)
 		for r := int64(0); r < n; r++ {
 			out.Ops = append(out.Ops, unit)
 		}
@@ -45,7 +56,8 @@ func (m *Module) Materialize(limit int64) (*Module, error) {
 // to dst and returns the extended slice: the callee's body remapped
 // through the call's argument ranges, with callee locals added as fresh
 // caller locals named with the given tag, replicated Count times. The
-// callee module itself is not modified.
+// callee module itself is not modified. A caller that gives dst the
+// capacity for the expansion gets no regrowth.
 func (p *Program) ExpandCall(dst []Op, caller *Module, call *Op, tag int) ([]Op, error) {
 	callee := p.Modules[call.Callee]
 	if callee == nil {
@@ -76,12 +88,20 @@ func (p *Program) ExpandCall(dst []Op, caller *Module, call *Op, tag int) ([]Op,
 		}
 	}
 
+	// Every cloned op's operands come from one arena, cut with cap ==
+	// len so an append to one op's Args cannot overwrite the next's.
 	reps := call.EffCount()
+	width := 0
+	for j := range callee.Ops {
+		width += len(callee.Ops[j].Args)
+	}
+	arena := make([]int, int64(width)*reps)
 	for r := int64(0); r < reps; r++ {
 		for j := range callee.Ops {
 			op := callee.Ops[j]
 			clone := op
-			clone.Args = make([]int, len(op.Args))
+			clone.Args = arena[:len(op.Args):len(op.Args)]
+			arena = arena[len(op.Args):]
 			for k, s := range op.Args {
 				clone.Args[k] = slotMap[s]
 			}

@@ -106,9 +106,10 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 
 	// The step-scoped helpers are hoisted out of the loop and capture
 	// the rolling step state (stamp, current step) instead of being
-	// re-created — and re-allocated — every timestep.
-	var step schedule.Step
-	var placed []int32
+	// re-created — and re-allocated — every timestep. Region lists are
+	// gathered in one scratch buffer and copied into the builder.
+	b := schedule.NewBuilder(s, g)
+	var placed, scratch []int32
 	isReady := func(op int32) bool {
 		return pending[op] == 0 && !done[op] && inStepAt[op] != stamp
 	}
@@ -119,10 +120,10 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 	fits := func(op int32) bool {
 		return opts.D <= 0 || len(m.Ops[op].Args) <= opts.D
 	}
-	// takeFree extracts ready, unclaimed free-list ops matching key,
-	// up to the remaining d budget, preserving free-list order.
-	takeFree := func(key schedule.GroupKey, qubits int) ([]int32, int) {
-		var taken []int32
+	// takeFree appends to taken the ready, unclaimed free-list ops
+	// matching key, up to the remaining d budget, preserving free-list
+	// order.
+	takeFree := func(taken []int32, key schedule.GroupKey, qubits int) []int32 {
 		for _, op := range ready {
 			if claimed[op] || !isReady(op) || schedule.KeyOf(m, op) != key {
 				continue
@@ -142,13 +143,13 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			taken = append(taken, op)
 			qubits += need
 		}
-		return taken, qubits
+		return taken
 	}
 	place := func(r int, ops []int32) {
 		if len(ops) == 0 {
 			return
 		}
-		step.Regions[r] = append(step.Regions[r], ops...)
+		b.Place(r, ops)
 		for _, op := range ops {
 			inStepAt[op] = stamp
 		}
@@ -157,7 +158,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 
 	scheduled := 0
 	for scheduled < n {
-		step = schedule.Step{Regions: make([][]int32, opts.K)}
+		b.Begin()
 		placed = placed[:0]
 		stamp++
 
@@ -178,13 +179,11 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			if len(paths[i]) > 0 && isReady(paths[i][0]) && fits(paths[i][0]) {
 				head := paths[i][0]
 				paths[i] = paths[i][1:]
-				ops := []int32{head}
-				qubits := len(m.Ops[head].Args)
+				scratch = append(scratch[:0], head)
 				if useSIMD {
-					fill, _ := takeFree(schedule.KeyOf(m, head), qubits)
-					ops = append(ops, fill...)
+					scratch = takeFree(scratch, schedule.KeyOf(m, head), len(m.Ops[head].Args))
 				}
-				place(i, ops)
+				place(i, scratch)
 				continue
 			}
 			// Path empty or head stalled: with the SIMD option the region
@@ -205,8 +204,8 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			}
 			if useSIMD {
 				if key, ok := firstFreeKey(m, ready, claimed, isReady); ok {
-					ops, _ := takeFree(key, 0)
-					place(i, ops)
+					scratch = takeFree(scratch[:0], key, 0)
+					place(i, scratch)
 				}
 			}
 		}
@@ -217,8 +216,8 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			if !ok {
 				break
 			}
-			ops, _ := takeFree(key, 0)
-			place(r, ops)
+			scratch = takeFree(scratch[:0], key, 0)
+			place(r, scratch)
 		}
 
 		// Ready ops held back only because a pinned path claims them: the
@@ -274,10 +273,10 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 					Detail: "deadlock avoidance: every pinned head stalled",
 				})
 			}
-			place(0, []int32{forced})
+			place(0, append(scratch[:0], forced))
 		}
 
-		s.Steps = append(s.Steps, step)
+		b.End()
 		scheduled += len(placed)
 		for _, op := range placed {
 			done[op] = true

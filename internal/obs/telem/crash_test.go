@@ -127,6 +127,11 @@ func TestTempFileSweptAtOpen(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("half a segment"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Only temps past the sweep's grace period are a crash's leftovers.
+	crashed := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(tmp, crashed, crashed); err != nil {
+		t.Fatal(err)
+	}
 	s := openTest(t, Options{Dir: dir, Retention: -1})
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("temp file survived Open: %v", err)

@@ -104,13 +104,15 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		w, wNoSlack float64
 	}
 	var cands []cand
+	b := schedule.NewBuilder(s, g)
+	var placed, taken []int32
 
 	for scheduled < n {
 		if len(ready) == 0 {
 			return nil, fmt.Errorf("rcp: deadlock with %d/%d ops scheduled", scheduled, n)
 		}
-		step := schedule.Step{Regions: make([][]int32, opts.K)}
-		var placed []int32
+		b.Begin()
+		placed = placed[:0]
 		for r := range regionFree {
 			regionFree[r] = true
 		}
@@ -177,7 +179,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 			// Extract all ready ops of the winning type into the region,
 			// respecting the d limit.
 			key := schedule.KeyOf(m, bestOp)
-			var taken []int32
+			taken = taken[:0]
 			qubits := 0
 			rest := ready[:0]
 			for _, op := range ready {
@@ -220,7 +222,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 					}
 				}
 			}
-			step.Regions[bestRegion] = taken
+			b.Place(bestRegion, taken)
 			placed = append(placed, taken...)
 			regionFree[bestRegion] = false
 			freeRegions--
@@ -234,7 +236,7 @@ func Schedule(m *ir.Module, g *dag.Graph, opts Options) (*schedule.Schedule, err
 		if len(placed) == 0 {
 			return nil, fmt.Errorf("rcp: made no progress at step %d", len(s.Steps))
 		}
-		s.Steps = append(s.Steps, step)
+		b.End()
 		scheduled += len(placed)
 		// Release children whose dependencies completed this step.
 		for _, op := range placed {

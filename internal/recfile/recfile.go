@@ -2,7 +2,7 @@
 // persistent stores (the cas record store and the telemetry segment
 // store): a checksummed frame around each payload, atomic temp-file +
 // rename writes, quarantine of files that fail validation, and the
-// sweep of temp files a crashed writer left behind.
+// sweep of stale temp files a crashed writer left behind.
 //
 // A frame is a fixed little-endian header followed by the payload:
 //
@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 )
 
 // HeaderSize is the frame header length in bytes.
@@ -73,7 +74,8 @@ func (f Format) Unframe(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// tmpSuffix marks in-flight writes; Sweep removes files carrying it.
+// tmpSuffix marks in-flight writes; Sweep removes stale files carrying
+// it.
 const tmpSuffix = ".tmp"
 
 // WriteAtomic writes data to path through a temp file in the same
@@ -105,14 +107,23 @@ func Quarantine(path, dst string) {
 	}
 }
 
+// tempGrace is how old a temp file must be before Sweep takes it for a
+// crashed writer's leftover. WriteAtomic finishes in well under a
+// second, so a younger temp file may belong to a live writer in another
+// process that is about to rename it.
+const tempGrace = time.Minute
+
 // Sweep lists dir, removing the temp files a crashed WriteAtomic left
-// behind, and returns the remaining entries. The error is os.ReadDir's.
+// behind (those older than tempGrace), and returns the remaining
+// entries other than temp files. The error is os.ReadDir's.
 func Sweep(dir string) ([]os.DirEntry, error) {
 	ents, err := os.ReadDir(dir)
 	kept := ents[:0]
 	for _, e := range ents {
 		if strings.HasSuffix(e.Name(), tmpSuffix) {
-			os.Remove(filepath.Join(dir, e.Name()))
+			if info, err := e.Info(); err == nil && time.Since(info.ModTime()) > tempGrace {
+				os.Remove(filepath.Join(dir, e.Name()))
+			}
 			continue
 		}
 		kept = append(kept, e)

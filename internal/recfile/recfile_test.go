@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // formats are the two framed file types in the tree: cas records and
@@ -127,8 +128,18 @@ func TestWriteAtomic(t *testing.T) {
 	}
 }
 
+// backdate makes path look written age ago.
+func backdate(t *testing.T, path string, age time.Duration) {
+	t.Helper()
+	then := time.Now().Add(-age)
+	if err := os.Chtimes(path, then, then); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSweepRemovesLeftoverTemps: a crash mid-write leaves a *.tmp file;
-// Sweep removes it and lists everything else.
+// once it is older than the grace period Sweep removes it and lists
+// everything else.
 func TestSweepRemovesLeftoverTemps(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"keep.rec", "123456.tmp", "README"} {
@@ -136,6 +147,7 @@ func TestSweepRemovesLeftoverTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	backdate(t, filepath.Join(dir, "123456.tmp"), 2*tempGrace)
 	ents, err := Sweep(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -152,6 +164,34 @@ func TestSweepRemovesLeftoverTemps(t *testing.T) {
 	}
 	if _, err := Sweep(filepath.Join(dir, "missing")); !os.IsNotExist(err) {
 		t.Fatalf("Sweep of a missing dir: err = %v, want not-exist", err)
+	}
+}
+
+// TestSweepKeepsLiveTemp: a fresh temp file may be a live writer's in
+// another process, about to be renamed into place. Sweep must leave it
+// on disk (and out of the listing) so that writer's rename succeeds,
+// while a backdated one in the same directory is removed.
+func TestSweepKeepsLiveTemp(t *testing.T) {
+	dir := t.TempDir()
+	live, stale := filepath.Join(dir, "live.tmp"), filepath.Join(dir, "stale.tmp")
+	for _, p := range []string{live, stale} {
+		if err := os.WriteFile(p, []byte("half"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backdate(t, stale, tempGrace+time.Second)
+	ents, err := Sweep(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("Sweep listed %d entries, want none", len(ents))
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived Sweep: %v", err)
+	}
+	if err := os.Rename(live, filepath.Join(dir, "rec")); err != nil {
+		t.Fatalf("live writer's rename after Sweep: %v", err)
 	}
 }
 
